@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.stats import binomtest
@@ -25,18 +25,21 @@ from .data import (
     ObservationSet,
     SamplingScheme,
     SyntheticConfig,
+    cold_start_slice,
     cold_start_transform,
     generate_synthetic,
     mask_sample,
     observe_from_model,
 )
-from .families import ExpFamilyModel
+from .families import ExpFamilyModel, model_from_dict, model_to_dict
 from .lowrank import rank1_svd
 from .objectives import empirical_risk, map_binary_labels
 from .solvers import (
     FitResult,
     NumericalError,
     SolverConfig,
+    config_from_dict,
+    config_to_dict,
     plais_impute,
     theory_bound,
     tight_lipschitz,
@@ -53,6 +56,10 @@ def relative_error(w_hat, w_true) -> float:
     if denom == 0:
         raise ValueError("ground truth is the zero matrix")
     return float(np.linalg.norm(hv - tv) / denom)
+
+
+# JSON key of each ExperimentSpec field whose key differs from its name
+_SPEC_KEYS = {"fit_families": "families"}
 
 
 @dataclass(frozen=True)
@@ -111,55 +118,29 @@ class ExperimentSpec:
                      for _ in self.d_vs)
 
     def to_dict(self) -> dict:
-        from .families import model_to_dict
-        from .solvers import config_to_dict
-        return {
-            "d_u": self.d_u,
-            "d_vs": list(self.d_vs),
-            "ranks": list(self.ranks),
-            "factor_laws": list(self.factor_laws),
-            "p_grid": list(self.p_grid),
-            "gamma": self.gamma,
-            "trials": self.trials,
-            "seed": self.seed,
-            "solver": config_to_dict(self.solver),
-            "methods": list(self.methods),
-            "shared_factors": self.shared_factors,
-            "noise": self.noise,
-            "families": ([model_to_dict(m) for m in self.fit_families]
-                         if self.fit_families is not None else None),
-            "train_fraction": self.train_fraction,
-            "rel_lambda": self.rel_lambda,
-            "auto_lipschitz": self.auto_lipschitz,
-            "experiment_id": self.experiment_id,
-        }
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "solver":
+                value = config_to_dict(value)
+            elif f.name == "fit_families":
+                value = None if value is None else [model_to_dict(m) for m in value]
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[_SPEC_KEYS.get(f.name, f.name)] = value
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        from .families import model_from_dict
-        from .solvers import config_from_dict
-        fams = d.get("families")
-        return cls(
-            d_u=int(d["d_u"]),
-            d_vs=tuple(d["d_vs"]),
-            ranks=tuple(d["ranks"]),
-            factor_laws=tuple(d.get("factor_laws",
-                                    ["gaussian"] * len(d["d_vs"]))),
-            p_grid=tuple(d["p_grid"]),
-            gamma=d.get("gamma", 1.0),
-            trials=int(d.get("trials", 1)),
-            seed=int(d["seed"]),
-            solver=config_from_dict(d.get("solver", {})),
-            methods=tuple(d.get("methods", ("collective", "per_source"))),
-            shared_factors=d.get("shared_factors", False),
-            noise=d.get("noise", "none"),
-            fit_families=(tuple(model_from_dict(m) for m in fams)
-                          if fams else None),
-            train_fraction=d.get("train_fraction", 0.8),
-            rel_lambda=d.get("rel_lambda"),
-            auto_lipschitz=d.get("auto_lipschitz", True),
-            experiment_id=d.get("experiment_id", "exp"),
-        )
+        """Inverse of :meth:`to_dict`; a missing key takes the field default,
+        and missing factor laws default to gaussian."""
+        kwargs = {f.name: d[key] for f in fields(cls)
+                  if (key := _SPEC_KEYS.get(f.name, f.name)) in d}
+        kwargs.setdefault("factor_laws", ["gaussian"] * len(d["d_vs"]))
+        kwargs["solver"] = config_from_dict(d.get("solver", {}))
+        fams = kwargs.get("fit_families")
+        kwargs["fit_families"] = tuple(model_from_dict(m) for m in fams) if fams else None
+        return cls(**kwargs)
 
 
 @dataclass
@@ -237,15 +218,18 @@ def _fit_collective(spec: ExperimentSpec, obs_train: ObservationSet) -> FitResul
     return plais_impute(obs_train, _fit_config(spec, obs_train))
 
 
+def _fit_source(spec: ExperimentSpec, obs: ObservationSet, v: int) -> FitResult:
+    """Fit source ``v`` alone, under its own loss in general-loss mode."""
+    sub = obs.restrict_source(v)
+    cfg = _fit_config(spec, sub)
+    if cfg.losses is not None:
+        cfg = replace(cfg, losses=(cfg.losses[v],))
+    return plais_impute(sub, cfg)
+
+
 def _fit_per_source(spec: ExperimentSpec, obs_train: ObservationSet) -> tuple[np.ndarray, list[FitResult]]:
-    blocks = []
-    fits = []
-    for v in range(obs_train.layout.V):
-        sub = obs_train.restrict_source(v)
-        fit = plais_impute(sub, _fit_config(spec, sub))
-        fits.append(fit)
-        blocks.append(fit.factors.to_matrix())
-    return np.hstack(blocks), fits
+    fits = [_fit_source(spec, obs_train, v) for v in range(obs_train.layout.V)]
+    return np.hstack([fit.factors.to_matrix() for fit in fits]), fits
 
 
 def _block_slices(spec: ExperimentSpec) -> list[slice]:
@@ -322,19 +306,24 @@ def _run_cell(spec: ExperimentSpec, p: float, p_idx: int, trial: int) -> list[Me
     return records
 
 
+def _run_jobs(job, items, jobs: int) -> list[MetricRecord]:
+    """Records of ``job(item)`` for every item, in (p, trial, method) order."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(job, items))
+    else:
+        chunks = [job(item) for item in items]
+    records = [r for chunk in chunks for r in chunk]
+    records.sort(key=lambda r: (r.p, r.trial, r.method))
+    return records
+
+
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[MetricRecord]:
     """Sweep the p grid; one record per (p, trial, method)."""
     cells = [(p, p_idx, trial)
              for p_idx, p in enumerate(spec.p_grid)
              for trial in range(spec.trials)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda c: _run_cell(spec, *c), cells))
-    else:
-        chunks = [_run_cell(spec, *c) for c in cells]
-    records = [r for chunk in chunks for r in chunk]
-    records.sort(key=lambda r: (r.p, r.trial, r.method))
-    return records
+    return _run_jobs(lambda c: _run_cell(spec, *c), cells, jobs)
 
 
 def run_cold_start(spec: ExperimentSpec, target_v: int, jobs: int = 1,
@@ -358,9 +347,7 @@ def run_cold_start(spec: ExperimentSpec, target_v: int, jobs: int = 1,
         truth_cold = truth.values.copy()
         if transform:
             obs_cold = cold_start_transform(obs, target_v)
-            sl = obs.source_slice(target_v)
-            k = math.ceil((sl.stop - sl.start) / 5)
-            zeroed = slice(sl.start, sl.start + k)
+            zeroed = cold_start_slice(obs, target_v)
             truth_cold[obs.i[zeroed], obs.cols[zeroed]] = 0.0
         else:
             obs_cold = obs
@@ -376,8 +363,7 @@ def run_cold_start(spec: ExperimentSpec, target_v: int, jobs: int = 1,
         except (ValueError, NumericalError, np.linalg.LinAlgError) as exc:
             records.append(_failed_record(spec, p, trial, "collective", str(exc)))
         try:
-            sub = obs_cold.restrict_source(target_v)
-            comp = plais_impute(sub, _fit_config(spec, sub))
+            comp = _fit_source(spec, obs_cold, target_v)
             w_comp = np.array(truth_cold)
             w_comp[:, _block_slices(spec)[target_v]] = comp.factors.to_matrix()
             records.append(_record(
@@ -389,15 +375,7 @@ def run_cold_start(spec: ExperimentSpec, target_v: int, jobs: int = 1,
             records.append(_failed_record(spec, p, trial, "per_source", str(exc)))
         return records
 
-    trials = range(spec.trials)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(one_trial, trials))
-    else:
-        chunks = [one_trial(t) for t in trials]
-    records = [r for chunk in chunks for r in chunk]
-    records.sort(key=lambda r: (r.p, r.trial, r.method))
-    return records
+    return _run_jobs(one_trial, range(spec.trials), jobs)
 
 
 def summarize(records: list[MetricRecord]) -> list[dict]:

@@ -176,6 +176,9 @@ def cmd_fit(args) -> int:
     (out / "fit.json").write_text(json.dumps(fit.to_dict(), indent=2) + "\n",
                                   encoding="utf-8")
     hio.save_factors(out / "factors", fit.factors)
+    if "zero_solution" in fit.flags:
+        print(f"warning: the fit is the zero matrix at lambda={fit.lambda_used:.6g}",
+              file=sys.stderr)
     if args.verbose:
         print(json.dumps({"lambda": fit.lambda_used,
                           "terminated_by": fit.terminated_by}), file=sys.stderr)
@@ -235,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="heteromc",
         description="Joint low-rank completion of heterogeneous multi-source matrices",
     )
-    parser.add_argument("--verbose", action="store_true",
-                        help="emit one JSON line per solver iteration")
+    verbose_help = "emit one JSON line per solver iteration"
+    parser.add_argument("--verbose", action="store_true", help=verbose_help)
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -260,6 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--obs")
     fit.add_argument("--layout")
     fit.add_argument("--out", required=True)
+    # same flag after the subcommand; SUPPRESS keeps the subparser from
+    # resetting a --verbose given before it
+    fit.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
+                     help=verbose_help)
     fit.set_defaults(func=cmd_fit)
 
     exp = sub.add_parser("experiment", parents=[common, solver_flags],

@@ -143,7 +143,9 @@ class ObservationSet:
 
     Triplets are stored in canonical (v, i, j) order, each entry observed at
     most once.  ``families`` optionally tags each source with its
-    distribution model; likelihood operations require the tags.
+    distribution model; likelihood operations require the tags.  The global
+    column of every entry and the start of each source's contiguous run are
+    computed once, at construction.
     """
 
     layout: BlockLayout
@@ -173,7 +175,10 @@ class ObservationSet:
             same = (np.diff(v) == 0) & (np.diff(i) == 0) & (np.diff(j) == 0)
             if np.any(same):
                 raise ValueError("duplicate (v, i, j) observation")
-        for name, arr in (("v", v), ("i", i), ("j", j), ("y", y)):
+        cols = np.asarray(self.layout.col_offsets)[v] + j
+        starts = np.concatenate([[0], np.cumsum(np.bincount(v, minlength=self.layout.V))])
+        for name, arr in (("v", v), ("i", i), ("j", j), ("y", y), ("_cols", cols),
+                          ("_starts", starts)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.families is not None:
@@ -188,14 +193,14 @@ class ObservationSet:
 
     @property
     def cols(self) -> np.ndarray:
-        """Global column index of every observation."""
-        offsets = np.asarray(self.layout.col_offsets)
-        return offsets[self.v] + self.j
+        """Global column index of every observation (read-only)."""
+        return self._cols
 
     def source_slice(self, v: int) -> slice:
-        lo = int(np.searchsorted(self.v, v, side="left"))
-        hi = int(np.searchsorted(self.v, v, side="right"))
-        return slice(lo, hi)
+        """Contiguous positions of source ``v``'s observations."""
+        if not 0 <= v < self.layout.V:
+            raise ValueError(f"source {v} outside layout")
+        return slice(int(self._starts[v]), int(self._starts[v + 1]))
 
     def source_counts(self) -> np.ndarray:
         return np.bincount(self.v, minlength=self.layout.V)
@@ -247,13 +252,11 @@ def mask_sample(full: CollectiveMatrix, scheme: SamplingScheme, seed,
 
 def empirical_marginals(obs: ObservationSet) -> tuple[np.ndarray, list[np.ndarray]]:
     """Observed-entry counts per (source, row) and per (source, column)."""
-    row = np.zeros((obs.layout.V, obs.layout.d_u))
-    np.add.at(row, (obs.v, obs.i), 1.0)
-    cols = [np.zeros(dv) for dv in obs.layout.d_vs]
-    for v in range(obs.layout.V):
-        sl = obs.source_slice(v)
-        np.add.at(cols[v], obs.j[sl], 1.0)
-    return row, cols
+    layout = obs.layout
+    row = np.bincount(obs.v * layout.d_u + obs.i, minlength=layout.V * layout.d_u)
+    col = np.bincount(obs.cols, minlength=layout.D).astype(float)
+    return (row.reshape(layout.V, layout.d_u).astype(float),
+            [col[layout.block_cols(v)] for v in range(layout.V)])
 
 
 def estimate_mu(obs: ObservationSet) -> float:
@@ -373,32 +376,36 @@ def observe_from_model(params: CollectiveMatrix,
     streams = np.random.SeedSequence(seed).spawn(layout.V + 1)
     base = mask_sample(params, scheme, streams[0], families)
     y = np.array(base.y)
-    cols = base.cols
+    eta = params.values[base.i, base.cols]
     for v, model in enumerate(families):
         sl = base.source_slice(v)
         if sl.start == sl.stop:
             continue
-        eta = params.values[base.i[sl], cols[sl]]
-        y[sl] = family_sample(model, eta, np.random.default_rng(streams[v + 1]))
+        y[sl] = family_sample(model, eta[sl], np.random.default_rng(streams[v + 1]))
     return base.with_y(y)
+
+
+def cold_start_slice(obs: ObservationSet, target_v: int) -> slice:
+    """Positions of the observations a cold start zeroes.
+
+    The observation list is in row-major (i, j) order within each source;
+    the zeroed positions are the first ``ceil(n_v / 5)`` of source
+    ``target_v``.
+    """
+    sl = obs.source_slice(target_v)
+    return slice(sl.start, sl.start + math.ceil((sl.stop - sl.start) / 5))
 
 
 def cold_start_transform(obs: ObservationSet, target_v: int) -> ObservationSet:
     """Zero the values of the first fifth of one source's observations.
 
-    The observation list is in row-major (i, j) order within each source;
-    the first ``ceil(n_v / 5)`` values of source ``target_v`` become zero
-    while the mask stays unchanged.  A source with no observations is left
-    alone with a warning.
+    The positions come from :func:`cold_start_slice`; the mask stays
+    unchanged.  A source with no observations is left alone with a warning.
     """
-    if not 0 <= target_v < obs.layout.V:
-        raise ValueError(f"source {target_v} outside layout")
-    sl = obs.source_slice(target_v)
-    n_v = sl.stop - sl.start
-    if n_v == 0:
+    zeroed = cold_start_slice(obs, target_v)
+    if zeroed.start == zeroed.stop:
         warnings.warn(f"source {target_v} has no observations; cold-start is a no-op")
         return obs
-    k = math.ceil(n_v / 5)
     y = np.array(obs.y)
-    y[sl.start:sl.start + k] = 0.0
+    y[zeroed] = 0.0
     return obs.with_y(y)

@@ -92,6 +92,9 @@ def _subspace_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _refill(q: np.ndarray, width: int, rng: np.random.Generator) -> np.ndarray:
+    """Pad the orthonormal basis ``q`` with random orthonormal columns to
+    ``max(width, 1)`` columns."""
+    width = max(width, 1)
     while q.shape[1] < width:
         extra = rng.standard_normal((q.shape[0], width - q.shape[1]))
         if q.shape[1]:

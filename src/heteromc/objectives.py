@@ -1,15 +1,17 @@
 """Objective functions: penalized likelihood, Lipschitz risks, diagnostics.
 
-Data terms are always normalized by the full matrix size d_u * D, not by the
-number of observed entries.  Likelihood terms need family tags on the
-observation set; the distribution-free path takes per-source Lipschitz
-losses instead.
+Every data term is one sum over the observed set Omega of a per-source
+pointwise loss, normalized by the full matrix size d_u * D, not by the
+number of observed entries.  :class:`DataTerm` evaluates that sum and its
+gradient; the likelihood, risk and Bregman functions below are instances of
+it.  Likelihood terms need family tags on the observation set; the
+distribution-free path takes per-source Lipschitz losses instead.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import expit
@@ -36,42 +38,85 @@ def _families(obs: ObservationSet, families=None):
     return tuple(families)
 
 
+class DataTerm:
+    """(1/(d_u D)) sum over Omega of per-source pointwise losses, and its gradient.
+
+    ``pairs[v]`` is a ``(value, grad)`` pair of elementwise functions of
+    ``(y, eta)`` for source ``v``; ``grad`` may be None when only values are
+    needed.  Each evaluation gathers ``eta = w[rows, cols]`` once, applies
+    each source's pair to its contiguous slice of the length-nnz vector,
+    sums the per-source values in source order and scatters the gradient
+    once.  With ``losses`` given, margin-loss labels are checked here, once.
+    """
+
+    def __init__(self, obs: ObservationSet, pairs, losses=None):
+        pairs = tuple(pairs)
+        if len(pairs) != obs.layout.V:
+            raise ValueError("need one loss per source")
+        self.obs = obs
+        self.parts = []
+        for v, pair in enumerate(pairs):
+            sl = obs.source_slice(v)
+            if losses is not None:
+                _check_labels(losses[v], obs.y[sl])
+            if sl.start < sl.stop:
+                self.parts.append((sl, pair))
+        self.n_total = _n_total(obs)
+
+    def gather(self, w) -> np.ndarray:
+        """Entries of ``w`` on Omega, in observation order."""
+        return _values(w)[self.obs.i, self.obs.cols]
+
+    def value(self, w, y=None) -> float:
+        """Normalized data term at ``w``; ``y`` replaces the observed values."""
+        eta = self.gather(w)
+        y = self.obs.y if y is None else y
+        total = 0.0
+        for sl, (fn, _) in self.parts:
+            total += float(np.sum(fn(y[sl], eta[sl])))
+        return total / self.n_total
+
+    def grad(self, w) -> np.ndarray:
+        """Dense d_u x D gradient; zero off the observed support."""
+        eta = self.gather(w)
+        g = np.empty_like(eta)
+        for sl, (_, fn) in self.parts:
+            g[sl] = fn(self.obs.y[sl], eta[sl])
+        out = np.zeros((self.obs.layout.d_u, self.obs.layout.D))
+        out[self.obs.i, self.obs.cols] = g / self.n_total
+        return out
+
+
+def _likelihood_pair(model):
+    # negative log-likelihood G(eta) - y * eta and its derivative G'(eta) - y
+    return (lambda y, eta: g_value(model, eta) - y * eta,
+            lambda y, eta: g_prime(model, eta) - y)
+
+
+def _likelihood_term(obs: ObservationSet) -> DataTerm:
+    """Likelihood-mode data term: the negative log-likelihood over Omega."""
+    return DataTerm(obs, [_likelihood_pair(m) for m in _families(obs)])
+
+
 def neg_log_likelihood(obs: ObservationSet, w) -> float:
     """Negative log-likelihood -(1/(d_u D)) sum_Omega (y * w - G(w))."""
-    families = _families(obs)
-    wv = _values(w)
-    cols = obs.cols
-    total = 0.0
-    for v, model in enumerate(families):
-        sl = obs.source_slice(v)
-        if sl.start == sl.stop:
-            continue
-        eta = wv[obs.i[sl], cols[sl]]
-        total += float(np.sum(obs.y[sl] * eta - g_value(model, eta)))
-    return -total / _n_total(obs)
+    return _likelihood_term(obs).value(w)
 
 
 def grad_neg_log_likelihood(obs: ObservationSet, w) -> CollectiveMatrix:
     """Gradient of the likelihood term; zero off the observed support."""
-    families = _families(obs)
-    wv = _values(w)
-    cols = obs.cols
-    n = _n_total(obs)
-    out = np.zeros((obs.layout.d_u, obs.layout.D))
-    for v, model in enumerate(families):
-        sl = obs.source_slice(v)
-        if sl.start == sl.stop:
-            continue
-        eta = wv[obs.i[sl], cols[sl]]
-        out[obs.i[sl], cols[sl]] = -(obs.y[sl] - g_prime(model, eta)) / n
-    return CollectiveMatrix(obs.layout, out)
+    return CollectiveMatrix(obs.layout, _likelihood_term(obs).grad(w))
 
 
 def lipschitz_grad_constant(obs: ObservationSet, families=None) -> float:
-    """Gradient Lipschitz constant U_gamma / (d_u D) of the likelihood term."""
+    """Gradient Lipschitz constant sup G'' / (d_u D) of the likelihood term.
+
+    The curvature bound is taken over the families' evaluation intervals,
+    so the constant holds for parameters inside them.  It is also the
+    solvers' data-scale step constant, :func:`~heteromc.solvers.tight_lipschitz`.
+    """
     families = _families(obs, families)
-    u_gamma = max(math.sqrt(strong_convexity_bounds(m)[1]) for m in families)
-    return u_gamma / _n_total(obs)
+    return max(strong_convexity_bounds(m)[1] for m in families) / _n_total(obs)
 
 
 def grad_operator_norm(obs: ObservationSet, w) -> float:
@@ -124,16 +169,17 @@ def _check_labels(loss: LipschitzLoss, y) -> None:
 def loss_value(loss: LipschitzLoss, y, x):
     """Pointwise loss l(y, x)."""
     _check_labels(loss, y)
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if loss.kind == "hinge":
-        out = np.maximum(0.0, 1.0 - y * x)
-    elif loss.kind == "logistic":
-        out = np.logaddexp(0.0, -y * x)
-    else:
-        z = x - y
-        out = z * (loss.tau - (z <= 0))
+    out = _loss(loss, np.asarray(y, dtype=float), np.asarray(x, dtype=float))
     return out if out.ndim else float(out)
+
+
+def _loss(loss: LipschitzLoss, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    if loss.kind == "hinge":
+        return np.maximum(0.0, 1.0 - y * x)
+    if loss.kind == "logistic":
+        return np.logaddexp(0.0, -y * x)
+    z = x - y
+    return z * (loss.tau - (z <= 0))
 
 
 def _loss_subgrad(loss: LipschitzLoss, y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -146,35 +192,21 @@ def _loss_subgrad(loss: LipschitzLoss, y: np.ndarray, x: np.ndarray) -> np.ndarr
     return loss.tau - (z <= 0).astype(float)
 
 
+def _risk_term(obs: ObservationSet, losses) -> DataTerm:
+    """Empirical risk over Omega with the per-source losses' subgradients."""
+    losses = tuple(losses)
+    pairs = [(partial(_loss, l), partial(_loss_subgrad, l)) for l in losses]
+    return DataTerm(obs, pairs, losses)
+
+
 def empirical_risk(obs: ObservationSet, w, losses) -> float:
     """(1/(d_u D)) sum_Omega l^v(y, w)."""
-    losses = tuple(losses)
-    wv = _values(w)
-    cols = obs.cols
-    total = 0.0
-    for v, loss in enumerate(losses):
-        sl = obs.source_slice(v)
-        if sl.start == sl.stop:
-            continue
-        total += float(np.sum(loss_value(loss, obs.y[sl], wv[obs.i[sl], cols[sl]])))
-    return total / _n_total(obs)
+    return _risk_term(obs, losses).value(w)
 
 
 def risk_subgradient(obs: ObservationSet, w, losses) -> CollectiveMatrix:
     """A member of the risk subdifferential; entries bounded by rho/(d_u D)."""
-    losses = tuple(losses)
-    wv = _values(w)
-    cols = obs.cols
-    n = _n_total(obs)
-    out = np.zeros((obs.layout.d_u, obs.layout.D))
-    for v, loss in enumerate(losses):
-        sl = obs.source_slice(v)
-        if sl.start == sl.stop:
-            continue
-        yv = obs.y[sl]
-        _check_labels(loss, yv)
-        out[obs.i[sl], cols[sl]] = _loss_subgrad(loss, yv, wv[obs.i[sl], cols[sl]]) / n
-    return CollectiveMatrix(obs.layout, out)
+    return CollectiveMatrix(obs.layout, _risk_term(obs, losses).grad(w))
 
 
 def solver_loss_terms(loss: LipschitzLoss, smoothing: float = 1e-2):
@@ -225,15 +257,11 @@ def map_binary_labels(obs: ObservationSet, losses) -> ObservationSet:
     losses = tuple(losses)
     if len(losses) != obs.layout.V:
         raise ValueError("need one loss per source")
-    y = np.array(obs.y)
-    for v, loss in enumerate(losses):
-        if loss.kind not in ("hinge", "logistic"):
-            continue
-        sl = obs.source_slice(v)
-        block = y[sl]
-        if block.size and np.all(np.isin(block, (0.0, 1.0))):
-            y[sl] = 2.0 * block - 1.0
-    return obs.with_y(y)
+    margin = np.array([l.kind in ("hinge", "logistic") for l in losses])
+    non_binary = np.bincount(obs.v, weights=~np.isin(obs.y, (0.0, 1.0)),
+                             minlength=obs.layout.V)
+    recode = (margin & (non_binary == 0))[obs.v]
+    return obs.with_y(np.where(recode, 2.0 * obs.y - 1.0, obs.y))
 
 
 def nuclear_norm(w) -> float:
@@ -272,14 +300,10 @@ def objective_value(obs: ObservationSet, w, lam: float, mode: str = "likelihood"
 
 def bregman_fit(obs: ObservationSet, w_hat, w_true, families=None) -> float:
     """Masked Bregman discrepancy (1/(d_u D)) sum_Omega d_G(w_hat, w_true)."""
-    families = _families(obs, families)
-    hv, tv = _values(w_hat), _values(w_true)
-    cols = obs.cols
-    total = 0.0
-    for v, model in enumerate(families):
-        sl = obs.source_slice(v)
-        if sl.start == sl.stop:
-            continue
-        rows, cc = obs.i[sl], cols[sl]
-        total += float(np.sum(bregman(model, hv[rows, cc], tv[rows, cc])))
-    return total / _n_total(obs)
+    pairs = [(partial(_bregman_to, m), None) for m in _families(obs, families)]
+    term = DataTerm(obs, pairs)
+    return term.value(w_hat, y=term.gather(w_true))
+
+
+def _bregman_to(model, target, eta):
+    return bregman(model, eta, target)

@@ -18,16 +18,18 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .data import CollectiveMatrix, ObservationSet, estimate_mu
 from .families import strong_convexity_bounds
-from .lowrank import ThinFactors, approx_svt, qr_orthonormalize, rank1_svd, svt_exact
+from .lowrank import ThinFactors, _refill, approx_svt, qr_orthonormalize, rank1_svd, svt_exact
 from .objectives import (
+    DataTerm,
     LipschitzLoss,
     grad_neg_log_likelihood,
+    lipschitz_grad_constant,
     neg_log_likelihood,
     nuclear_norm,
     solver_loss_terms,
@@ -122,55 +124,24 @@ class FitResult:
         }
 
 
+# JSON key of each SolverConfig field whose key differs from its name
+_CONFIG_KEYS = {"lam": "lambda"}
+
+
 def config_to_dict(cfg: SolverConfig) -> dict:
-    out = {
-        "lambda": cfg.lam,
-        "nu": cfg.nu,
-        "epsilon": cfg.epsilon,
-        "max_iters": cfg.max_iters,
-        "lipschitz": cfg.lipschitz,
-        "gamma": cfg.gamma,
-        "mode": cfg.mode,
-        "losses": None,
-        "constant_c": cfg.constant_c,
-        "init_rank": cfg.init_rank,
-        "warm_slack": cfg.warm_slack,
-        "basis_drop": cfg.basis_drop,
-        "smoothing": cfg.smoothing,
-        "clip_final": cfg.clip_final,
-        "momentum": cfg.momentum,
-    }
+    out = {_CONFIG_KEYS.get(f.name, f.name): getattr(cfg, f.name) for f in fields(cfg)}
     if cfg.losses is not None:
-        out["losses"] = [
-            {"kind": l.kind, "tau": l.tau, "rho": l.rho} for l in cfg.losses
-        ]
+        out["losses"] = [asdict(l) for l in cfg.losses]
     return out
 
 
 def config_from_dict(d: dict) -> SolverConfig:
-    losses = d.get("losses")
-    if losses is not None:
-        losses = tuple(
-            LipschitzLoss(l["kind"], tau=l.get("tau"), rho=l.get("rho", 1.0))
-            for l in losses
-        )
-    return SolverConfig(
-        lam=d.get("lambda", "auto"),
-        nu=d.get("nu", 0.7),
-        epsilon=d.get("epsilon", 1e-6),
-        max_iters=d.get("max_iters", 500),
-        lipschitz=d.get("lipschitz", 1.0),
-        gamma=d.get("gamma", 1.0),
-        mode=d.get("mode", "likelihood"),
-        losses=losses,
-        constant_c=d.get("constant_c", 1.0),
-        init_rank=d.get("init_rank"),
-        warm_slack=d.get("warm_slack", 5),
-        basis_drop=d.get("basis_drop", 1e-10),
-        smoothing=d.get("smoothing", 1e-2),
-        clip_final=d.get("clip_final", False),
-        momentum=d.get("momentum", True),
-    )
+    """Inverse of :func:`config_to_dict`; a missing key takes the field default."""
+    kwargs = {f.name: d[key] for f in fields(SolverConfig)
+              if (key := _CONFIG_KEYS.get(f.name, f.name)) in d}
+    if kwargs.get("losses") is not None:
+        kwargs["losses"] = tuple(LipschitzLoss(**l) for l in kwargs["losses"])
+    return SolverConfig(**kwargs)
 
 
 def lambda_heuristic(obs: ObservationSet, families=None, constant_c: float = 1.0) -> float:
@@ -227,19 +198,9 @@ def theory_bound(kind: str, params: dict) -> float:
     raise ValueError(f"unknown bound kind {kind!r}")
 
 
-def tight_lipschitz(obs: ObservationSet, families=None) -> float:
-    """Data-scale step constant sup G'' / (d_u D) for the likelihood gradient.
-
-    This is the curvature bound that actually controls the gradient map on
-    the admissible interval (for unit-curvature families it coincides with
-    :func:`~heteromc.objectives.lipschitz_grad_constant`); using it keeps
-    the solvers' step sizes and continuation thresholds on the data scale.
-    """
-    families = tuple(families) if families is not None else obs.families
-    if families is None:
-        raise ValueError("need family tags for the Lipschitz constant")
-    u_sq = max(strong_convexity_bounds(m)[1] for m in families)
-    return u_sq / (obs.layout.d_u * obs.layout.D)
+# The data-scale step constant sup G'' / (d_u D) is the likelihood gradient's
+# Lipschitz constant; the solvers and the harness know it by this name.
+tight_lipschitz = lipschitz_grad_constant
 
 
 def resolve_lambda(obs: ObservationSet, cfg: SolverConfig) -> float:
@@ -257,35 +218,9 @@ def _data_terms(obs: ObservationSet, cfg: SolverConfig):
             lambda w: neg_log_likelihood(obs, w),
             lambda w: grad_neg_log_likelihood(obs, w).values,
         )
-    losses = tuple(cfg.losses)
-    pairs = [solver_loss_terms(l, cfg.smoothing) for l in losses]
-    for v, loss in enumerate(losses):
-        sl = obs.source_slice(v)
-        if loss.kind == "logistic" and sl.stop > sl.start:
-            if not np.all(np.isin(obs.y[sl], (-1.0, 1.0))):
-                raise ValueError("logistic loss needs labels in {-1, +1}")
-    n = obs.layout.d_u * obs.layout.D
-    cols = obs.cols
-
-    def value(w):
-        total = 0.0
-        for v, (val_fn, _) in enumerate(pairs):
-            sl = obs.source_slice(v)
-            if sl.start == sl.stop:
-                continue
-            total += float(np.sum(val_fn(obs.y[sl], w[obs.i[sl], cols[sl]])))
-        return total / n
-
-    def grad(w):
-        out = np.zeros_like(w)
-        for v, (_, grad_fn) in enumerate(pairs):
-            sl = obs.source_slice(v)
-            if sl.start == sl.stop:
-                continue
-            out[obs.i[sl], cols[sl]] = grad_fn(obs.y[sl], w[obs.i[sl], cols[sl]]) / n
-        return out
-
-    return value, grad
+    pairs = [solver_loss_terms(l, cfg.smoothing) for l in cfg.losses]
+    term = DataTerm(obs, pairs, cfg.losses)
+    return term.value, term.grad
 
 
 def pg_step(w: CollectiveMatrix, obs: ObservationSet, lam: float,
@@ -391,19 +326,6 @@ def _warm_basis(v_cur: np.ndarray, v_prev: np.ndarray,
     return qr_orthonormalize(stack[:, :stack.shape[0]], drop_tol)
 
 
-def _pad_random(basis: np.ndarray, width: int, rng: np.random.Generator) -> np.ndarray:
-    width = max(width, 1)
-    while basis.shape[1] < width:
-        extra = rng.standard_normal((basis.shape[0], width - basis.shape[1]))
-        if basis.shape[1]:
-            extra -= basis @ (basis.T @ extra)
-        extra = qr_orthonormalize(extra)
-        if extra.shape[1] == 0:
-            raise np.linalg.LinAlgError("cannot pad a degenerate basis")
-        basis = np.hstack([basis, extra]) if basis.shape[1] else extra
-    return basis
-
-
 def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
                  iter_callback=None) -> FitResult:
     """Accelerated inexact solver with continuation, warm starts and restarts.
@@ -456,13 +378,13 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
         z = q - grad(q) / big_l
         basis = _warm_basis(basis_cur, basis_prev, cfg.basis_drop)
         if t == 1 and cfg.init_rank is not None:
-            basis = _pad_random(basis, min(cfg.init_rank, width_cap),
-                                np.random.default_rng((8081, t)))
+            basis = _refill(basis, min(cfg.init_rank, width_cap),
+                            np.random.default_rng((8081, t)))
         if basis.shape[1] > width_cap:
             basis = basis[:, :width_cap]
         input_rank_history.append(basis.shape[1])
-        padded = _pad_random(basis, min(basis.shape[1] + cfg.warm_slack, width_cap),
-                             np.random.default_rng((8082, t)))
+        padded = _refill(basis, min(basis.shape[1] + cfg.warm_slack, width_cap),
+                         np.random.default_rng((8082, t)))
         new_factors = approx_svt(z, padded, lam_t / big_l, delta_t)
         w_next = new_factors.to_matrix()
         f_next = _check_finite(value(w_next) + lam * new_factors.nuclear)

@@ -170,6 +170,18 @@ def test_general_loss_mode_records_heldout_risk():
     assert rec.heldout_risk is not None and math.log(2) * 0.1 < rec.heldout_risk
 
 
+def test_per_source_fits_use_their_own_loss():
+    from heteromc import LipschitzLoss, map_binary_labels
+    from heteromc.bench import _fit_per_source
+    losses = (LipschitzLoss.quantile(0.5), LipschitzLoss.logistic())
+    spec = small_spec(solver=SolverConfig(mode="general_loss", losses=losses, smoothing=1.0,
+                                          max_iters=200, basis_drop=1e-3))
+    obs, _ = gaussian_instance(d_u=20, d_vs=(8, 6), ranks=(2, 2), seed=4, noise=False)
+    obs = obs.with_y(np.where(obs.v == 1, obs.y > 0, obs.y))
+    _, fits = _fit_per_source(spec, map_binary_labels(obs, losses))
+    assert [fit.config.losses for fit in fits] == [(losses[0],), (losses[1],)]
+
+
 def test_map_binary_labels():
     from heteromc import LipschitzLoss, map_binary_labels
     from heteromc.data import BlockLayout, ObservationSet

@@ -85,6 +85,30 @@ def test_fit_end_to_end(tmp_path, capsys):
     assert set(first) == {"iteration", "lambda_t", "rank", "objective"}
 
 
+@pytest.mark.parametrize("position", ["before", "after"])
+def test_fit_verbose_flag_in_either_position(tmp_path, capsys, position):
+    out = generate(tmp_path)
+    args = ["fit", "--obs", str(out / "obs.csv"), "--layout", str(out / "layout.json"),
+            "--lambda", "1e-7", "--out", str(tmp_path / "fit")]
+    args = ["--verbose", *args] if position == "before" else [*args, "--verbose"]
+    assert main(args) == EXIT_OK
+    lines = capsys.readouterr().err.splitlines()
+    assert set(json.loads(lines[0])) == {"iteration", "lambda_t", "rank", "objective"}
+    assert set(json.loads(lines[-1])) == {"lambda", "terminated_by"}
+
+
+def test_fit_warns_on_zero_solution(tmp_path, capsys):
+    out = generate(tmp_path)
+    fit_dir = tmp_path / "fit_zero"
+    code = main(["fit", "--obs", str(out / "obs.csv"), "--layout", str(out / "layout.json"),
+                 "--lambda", "10", "--out", str(fit_dir)])
+    doc = json.loads((fit_dir / "fit.json").read_text())
+    assert "zero_solution" in doc["flags"]
+    assert code == (EXIT_OK if doc["terminated_by"] == "tolerance" else EXIT_MAX_ITERS)
+    [warning] = capsys.readouterr().err.splitlines()
+    assert warning.startswith("warning:") and "zero matrix" in warning
+
+
 def test_fit_auto_lambda_logged(tmp_path):
     out = generate(tmp_path)
     fit_dir = tmp_path / "fit_auto"

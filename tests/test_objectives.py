@@ -89,7 +89,12 @@ def test_lipschitz_constant_value():
     assert lipschitz_grad_constant(obs) == pytest.approx(0.01)  # U=1, n=100
 
 
-@pytest.mark.parametrize("model", ALL_FAMILIES, ids=lambda m: m.family)
+# non-unit curvatures: sup G'' = 4 and 10/4, where sqrt(sup G'') is no bound
+NON_UNIT = (ExpFamilyModel("gaussian", 4.0), ExpFamilyModel("binomial", 10))
+
+
+@pytest.mark.parametrize("model", ALL_FAMILIES + NON_UNIT,
+                         ids=[m.family for m in ALL_FAMILIES] + ["gaussian-var4", "binomial-n10"])
 def test_lipschitz_bound_holds_empirically(model, rng):
     obs, _ = make_obs(model, d_u=12, d_v=10, p=0.7, seed=6)
     bound = lipschitz_grad_constant(obs)

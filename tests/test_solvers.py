@@ -318,6 +318,13 @@ def test_solver_config_round_trip():
         SolverConfig(mode="general_loss").validate()
 
 
+def test_partial_solver_dict_takes_field_defaults():
+    # the solver section a config file may give: only the keys it sets
+    d = {"lambda": 2.5e-5, "lipschitz": 1.6e-7, "init_rank": 25, "basis_drop": 1e-3}
+    assert config_from_dict(d) == SolverConfig(lam=2.5e-5, lipschitz=1.6e-7,
+                                               init_rank=25, basis_drop=1e-3)
+
+
 def test_lambda_calibration_sweep():
     from heteromc import lambda_calibration_sweep
     obs, _ = gaussian_instance(seed=23)
