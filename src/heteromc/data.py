@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .families import ExpFamilyModel, sample as family_sample
 
@@ -204,6 +205,31 @@ class ObservationSet:
 
     def source_counts(self) -> np.ndarray:
         return np.bincount(self.v, minlength=self.layout.V)
+
+    def csr_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(order, indices, indptr)``: Omega as a CSR pattern.
+
+        ``order`` lists the observation positions in (row, global column)
+        order, ``indices`` their global columns and ``indptr`` where each
+        row starts in it.  Computed on first use, then cached.
+        """
+        cached = self.__dict__.get("_csr")
+        if cached is None:
+            order = np.argsort(self.i, kind="stable")
+            indptr = np.searchsorted(self.i[order], np.arange(self.layout.d_u + 1))
+            cached = (order, self.cols[order], indptr)
+            object.__setattr__(self, "_csr", cached)
+        return cached
+
+    def to_csr(self, values=None) -> sparse.csr_matrix:
+        """Sparse d_u x D matrix holding ``values`` (default ``y``) on Omega.
+
+        ``values`` has one entry per observation, in observation order.
+        """
+        order, indices, indptr = self.csr_index()
+        values = self.y if values is None else np.asarray(values, dtype=float)
+        return sparse.csr_matrix((values[order], indices, indptr),
+                                 shape=(self.layout.d_u, self.layout.D))
 
     def dense_y(self) -> np.ndarray:
         out = np.zeros((self.layout.d_u, self.layout.D))

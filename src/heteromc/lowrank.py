@@ -3,7 +3,10 @@
 The approximate path follows the warm-started subspace (power) iteration:
 once an orthonormal basis Q captures the top left singular subspace of Z,
 thresholding the small matrix Q^T Z reproduces the thresholding of Z itself.
-Dense intermediates are fine at the scales this package targets.
+That path touches Z only through the products ``z @ x`` and ``z.T @ y``, so
+Z may be a dense array or a :class:`SparsePlusLowRank` operator, which a
+solver on sparsely observed data uses to never form a d_u x D matrix.
+The rank-1 SVD also takes a scipy sparse matrix.
 """
 
 from __future__ import annotations
@@ -11,10 +14,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 
 def _values(z) -> np.ndarray:
     return z.values if hasattr(z, "values") else np.asarray(z, dtype=float)
+
+
+def _operand(z):
+    """``z`` for code that only multiplies by it: operators and scipy sparse
+    matrices pass through, anything else becomes a dense array."""
+    if isinstance(z, SparsePlusLowRank) or sparse.issparse(z):
+        return z
+    return _values(z)
+
+
+class SparsePlusLowRank:
+    """The matrix ``a @ b.T + s``, applied without forming it.
+
+    ``a`` (m x r) and ``b`` (n x r) are dense factors and ``s`` is an m x n
+    scipy sparse matrix.  A product with a k-column block costs
+    O(nnz(s) k + (m + n) r k) instead of the dense O(m n k).
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, s):
+        if a.shape[1] != b.shape[1] or s.shape != (a.shape[0], b.shape[0]):
+            raise ValueError("factor and sparse shapes disagree")
+        self.a, self.b, self.s = a, b, s
+        self.shape = s.shape
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.a @ (self.b.T @ x) + self.s @ x
+
+    @property
+    def T(self) -> "SparsePlusLowRank":
+        return SparsePlusLowRank(self.b, self.a, self.s.T)
 
 
 @dataclass
@@ -113,8 +147,10 @@ def power_method(z, r0: np.ndarray, delta: float,
     Stops when consecutive projectors differ by at most ``delta`` in
     Frobenius norm; returns ``(q, converged)``.  Rank-deficient
     intermediates are re-orthonormalized with a deterministic random refill.
+    ``z`` is a dense matrix or anything with ``@`` and ``.T``, such as a
+    :class:`SparsePlusLowRank`.
     """
-    z = _values(z)
+    z = _operand(z)
     r0 = np.asarray(r0, dtype=float)
     if r0.ndim != 2 or r0.shape[0] != z.shape[1] or r0.shape[1] < 1:
         raise ValueError("warm start must be a D x k matrix with k >= 1")
@@ -140,24 +176,30 @@ def power_method(z, r0: np.ndarray, delta: float,
 
 
 def approx_svt(z, r0: np.ndarray, lam: float, delta: float,
-               max_iters: int = 100) -> ThinFactors:
+               max_iters: int = 100) -> tuple[ThinFactors, bool]:
     """Approximate SVT: power-method basis, then exact SVT of the small Q^T Z.
 
-    With a warm start spanning the surviving subspace the result matches
-    :func:`svt_exact`; at most ``r0.shape[1]`` singular values survive.
-    Ties ``sigma_i == lam`` are excluded, matching the zero shift there.
+    Returns ``(factors, converged)``, where ``converged`` is the power
+    method's: false when it stopped at ``max_iters`` with the gap above
+    ``delta``.  With a warm start spanning the surviving subspace the result
+    matches :func:`svt_exact`; at most ``r0.shape[1]`` singular values
+    survive.  Ties ``sigma_i == lam`` are excluded, matching the zero shift
+    there.  ``z`` may be an operator, as for :func:`power_method`.
     """
-    z = _values(z)
-    q, _ = power_method(z, r0, delta, max_iters=max_iters)
-    u_small, s, vt = np.linalg.svd(q.T @ z, full_matrices=False)
+    z = _operand(z)
+    q, converged = power_method(z, r0, delta, max_iters=max_iters)
+    u_small, s, vt = np.linalg.svd((z.T @ q).T, full_matrices=False)
     keep = s > lam
-    return ThinFactors((q @ u_small)[:, keep], s[keep] - lam, vt[keep].T)
+    return ThinFactors((q @ u_small)[:, keep], s[keep] - lam, vt[keep].T), converged
 
 
 def rank1_svd(y, tol: float = 1e-10, max_iters: int = 1000) -> tuple[np.ndarray, float, np.ndarray]:
-    """Top singular triplet ``(u, sigma_1, v)`` by power iteration."""
-    y = _values(y)
-    if not np.any(y):
+    """Top singular triplet ``(u, sigma_1, v)`` by power iteration.
+
+    ``y`` may be a scipy sparse matrix.
+    """
+    y = _operand(y)
+    if not (y.count_nonzero() if sparse.issparse(y) else np.any(y)):
         raise ValueError("rank-1 SVD of a zero matrix")
     rng = np.random.default_rng(4211)
     v = rng.standard_normal(y.shape[1])

@@ -12,6 +12,15 @@ continuation thresholds, which are expressed in penalty units as
 ``lipschitz * sigma_1``) only match the data scale when ``lipschitz`` is
 set near the true constant; :func:`tight_lipschitz` computes it and the
 benchmark harness uses it everywhere.
+
+The inexact solver keeps every iterate as thin factors and evaluates the
+data term on Omega from them.  Its SVT input Z = q - grad(q) / L is either
+built as a dense matrix or, on sparsely observed data, applied as the
+operator "low rank + sparse on Omega"
+(:class:`~heteromc.lowrank.SparsePlusLowRank`), so no d_u x D array is
+formed there and memory stays O(nnz + (d_u + D) r).
+:data:`DENSE_Z_MIN_DENSITY` chooses between the two.  The exact-SVT
+drivers stay dense, since a full SVD needs the matrix.
 """
 
 from __future__ import annotations
@@ -24,16 +33,37 @@ import numpy as np
 
 from .data import CollectiveMatrix, ObservationSet, estimate_mu
 from .families import strong_convexity_bounds
-from .lowrank import ThinFactors, _refill, approx_svt, qr_orthonormalize, rank1_svd, svt_exact
+from .lowrank import (
+    SparsePlusLowRank,
+    ThinFactors,
+    _refill,
+    approx_svt,
+    qr_orthonormalize,
+    rank1_svd,
+    svt_exact,
+)
 from .objectives import (
     DataTerm,
     LipschitzLoss,
+    _likelihood_term,
     grad_neg_log_likelihood,
     lipschitz_grad_constant,
     neg_log_likelihood,
     nuclear_norm,
     solver_loss_terms,
 )
+
+# Observed fraction nnz / (d_u D) above which plais_impute builds Z densely.
+# One power step Z Z^T Q with a width-20 low-rank part, dense vs structured
+# (2 CPUs, 1 BLAS thread; the scipy sparse product is single-threaded):
+#   3000 x 3000,  p=0.05, k=30:   61 vs  16 ms
+#   2000 x 2100,  p=0.1,  k=40:   29 vs  18 ms;  k=100: 55 vs 49 ms;
+#                         k=300: 108 vs 113 ms
+#   300 x 300,    p=0.2,  k=140: 1.4 vs 2.7 ms;  p=0.6, k=30: 0.5 vs 1.8 ms
+# A whole 2000 x 2100, p=0.1 fit (basis up to ~310 wide) took 22.7 s dense
+# and 22.6-26.8 s structured, so p=0.1 is a wash and the desk-scale sizes
+# need the dense form; the crossover sits between 0.05 and 0.1.
+DENSE_Z_MIN_DENSITY = 0.075
 
 
 class NumericalError(RuntimeError):
@@ -212,15 +242,20 @@ def resolve_lambda(obs: ObservationSet, cfg: SolverConfig) -> float:
 
 
 def _data_terms(obs: ObservationSet, cfg: SolverConfig):
-    """(value, gradient) callables for the configured data term."""
+    """``(term, value, grad)`` for the configured data term.
+
+    ``term`` is its :class:`DataTerm`; ``value`` and the dense ``grad`` are
+    callables (likelihood mode calls the likelihood functions by name).
+    """
     if cfg.mode == "likelihood":
         return (
+            _likelihood_term(obs),
             lambda w: neg_log_likelihood(obs, w),
             lambda w: grad_neg_log_likelihood(obs, w).values,
         )
     pairs = [solver_loss_terms(l, cfg.smoothing) for l in cfg.losses]
     term = DataTerm(obs, pairs, cfg.losses)
-    return term.value, term.grad
+    return term, term.value, term.grad
 
 
 def pg_step(w: CollectiveMatrix, obs: ObservationSet, lam: float,
@@ -236,9 +271,9 @@ def _check_finite(value: float) -> float:
     return value
 
 
-def _finalize(factors: ThinFactors, w: np.ndarray, cfg: SolverConfig,
-              flags: list[str]) -> ThinFactors:
+def _finalize(factors: ThinFactors, cfg: SolverConfig, flags: list[str]) -> ThinFactors:
     if cfg.clip_final:
+        w = factors.to_matrix()
         clipped = np.clip(w, -cfg.gamma, cfg.gamma)
         if not np.array_equal(clipped, w):
             flags.append("clipped")
@@ -261,7 +296,7 @@ def apg_solve(obs: ObservationSet, cfg: SolverConfig | None = None) -> FitResult
         raise ValueError("solver needs nonzero observations to initialize")
     lam = resolve_lambda(obs, cfg)
     big_l = cfg.lipschitz
-    value, grad = _data_terms(obs, cfg)
+    _, value, grad = _data_terms(obs, cfg)
 
     w_prev = y_dense.copy()
     w_cur = y_dense
@@ -292,7 +327,7 @@ def apg_solve(obs: ObservationSet, cfg: SolverConfig | None = None) -> FitResult
         factors = svt_exact(w_cur, 0.0)
     if factors.rank == 0:
         flags.append("zero_solution")
-    factors = _finalize(factors, w_cur, cfg, flags)
+    factors = _finalize(factors, cfg, flags)
     return FitResult(
         factors=factors,
         rank_history=rank_history,
@@ -326,6 +361,15 @@ def _warm_basis(v_cur: np.ndarray, v_prev: np.ndarray,
     return qr_orthonormalize(stack[:, :stack.shape[0]], drop_tol)
 
 
+def _extrapolate(cur: ThinFactors, prev: ThinFactors, theta: float):
+    """Factors ``(a, b)`` with ``a @ b.T == (1 + theta) cur - theta prev``."""
+    a = cur.u * ((1.0 + theta) * cur.sigma)
+    if theta == 0.0:
+        return a, cur.v
+    return (np.hstack([a, prev.u * (-theta * prev.sigma)]),
+            np.hstack([cur.v, prev.v]))
+
+
 def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
                  iter_callback=None) -> FitResult:
     """Accelerated inexact solver with continuation, warm starts and restarts.
@@ -339,6 +383,14 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     at the target weight increases; iterations stop when its change falls
     within ``epsilon``.
 
+    Iterates are thin factors, and the data term is evaluated on Omega
+    from them; the extrapolated point's entries there are
+    (1 + theta) eta_t - theta eta_{t-1} from the cached entries of the last
+    two iterates.  Z is dense when the observed fraction exceeds
+    :data:`DENSE_Z_MIN_DENSITY` and an operator otherwise; both give the same
+    iterates up to rounding.  ``flags`` gains ``"power_not_converged"`` when
+    any power method stopped at its iteration cap.
+
     ``iter_callback(t, lam_t, rank, objective)`` is invoked once per
     iteration when given.
     """
@@ -346,36 +398,42 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     cfg.validate()
     start = time.perf_counter()
     layout = obs.layout
-    y_dense = obs.dense_y()
-    if obs.n == 0 or not np.any(y_dense):
+    if obs.n == 0 or not np.any(obs.y):
         raise ValueError("solver needs nonzero observations to initialize")
     big_l = cfg.lipschitz
     lam = resolve_lambda(obs, cfg)
-    value, grad = _data_terms(obs, cfg)
+    term, value, grad = _data_terms(obs, cfg)
+    dense_z = obs.n > DENSE_Z_MIN_DENSITY * layout.d_u * layout.D
 
-    u0, sigma1, v0 = rank1_svd(y_dense)
+    u0, sigma1, v0 = rank1_svd(obs.to_csr())
     lam0 = big_l * sigma1
-    delta0 = float(np.linalg.norm(y_dense))
+    delta0 = float(np.linalg.norm(obs.y))
     width_cap = min(layout.d_u, layout.D)
 
-    w_prev = sigma1 * np.outer(u0, v0)
-    w_cur = w_prev.copy()
+    factors = ThinFactors(u0.reshape(-1, 1), np.array([sigma1]), v0.reshape(-1, 1))
+    factors_prev = factors
+    eta = eta_prev = term.gather(factors)
     basis_prev = v0.reshape(-1, 1).copy()
     basis_cur = v0.reshape(-1, 1).copy()
-    factors = ThinFactors(u0.reshape(-1, 1), np.array([sigma1]), v0.reshape(-1, 1))
-    f_cur = _check_finite(value(w_cur) + lam * sigma1)
+    f_cur = _check_finite(value(eta) + lam * sigma1)
     c = 1
     objective_history = [f_cur]
     rank_history = [1]
     input_rank_history: list[int] = []
     restarts: list[int] = []
+    power_capped = False
     terminated_by = "max_iters"
     for t in range(1, cfg.max_iters + 1):
         delta_t = cfg.nu**t * delta0
         lam_t = cfg.nu**t * (lam0 - lam) + lam
         theta = (c - 1.0) / (c + 2.0)
-        q = (1.0 + theta) * w_cur - theta * w_prev
-        z = q - grad(q) / big_l
+        a, b = _extrapolate(factors, factors_prev, theta)
+        if dense_z:
+            q = a @ b.T
+            z = q - grad(q) / big_l
+        else:
+            g = term.grad_on_omega((1.0 + theta) * eta - theta * eta_prev)
+            z = SparsePlusLowRank(a, b, obs.to_csr(-g / big_l))
         basis = _warm_basis(basis_cur, basis_prev, cfg.basis_drop)
         if t == 1 and cfg.init_rank is not None:
             basis = _refill(basis, min(cfg.init_rank, width_cap),
@@ -385,9 +443,10 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
         input_rank_history.append(basis.shape[1])
         padded = _refill(basis, min(basis.shape[1] + cfg.warm_slack, width_cap),
                          np.random.default_rng((8082, t)))
-        new_factors = approx_svt(z, padded, lam_t / big_l, delta_t)
-        w_next = new_factors.to_matrix()
-        f_next = _check_finite(value(w_next) + lam * new_factors.nuclear)
+        new_factors, converged = approx_svt(z, padded, lam_t / big_l, delta_t)
+        power_capped = power_capped or not converged
+        eta_next = term.gather(new_factors)
+        f_next = _check_finite(value(eta_next) + lam * new_factors.nuclear)
         if f_next > f_cur:
             c = 1
             restarts.append(t)
@@ -397,9 +456,9 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
         objective_history.append(f_next)
         if iter_callback is not None:
             iter_callback(t, lam_t, new_factors.rank, f_next)
-        w_prev, w_cur = w_cur, w_next
+        factors_prev, factors = factors, new_factors
+        eta_prev, eta = eta, eta_next
         basis_prev, basis_cur = basis_cur, new_factors.v
-        factors = new_factors
         stop = abs(f_next - f_cur) <= cfg.epsilon
         # a rank-0 collapse while lambda_t is still decaying is legitimate:
         # keep iterating so the continuation can revive the factors
@@ -413,7 +472,9 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     flags: list[str] = []
     if factors.rank == 0:
         flags.append("zero_solution")
-    factors = _finalize(factors, w_cur, cfg, flags)
+    if power_capped:
+        flags.append("power_not_converged")
+    factors = _finalize(factors, cfg, flags)
     return FitResult(
         factors=factors,
         rank_history=rank_history,

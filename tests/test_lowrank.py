@@ -116,16 +116,16 @@ def test_approx_svt_matches_exact_with_spanning_warm_start(rng):
     exact = svt_exact(z, lam)
     # warm start spanning the row space
     _, _, vt = np.linalg.svd(z, full_matrices=False)
-    out = approx_svt(z, vt[:4].T, lam, delta=1e-10)
+    out, _ = approx_svt(z, vt[:4].T, lam, delta=1e-10)
     assert out.rank == exact.rank == 3
     assert np.linalg.norm(out.to_matrix() - exact.to_matrix()) < 1e-8
 
 
 def test_approx_svt_empty_and_diagonal(rng):
     z = np.diag([4.0, 2.0, 1.0])
-    out = approx_svt(z, np.eye(3), lam=5.0, delta=1e-10)
+    out, _ = approx_svt(z, np.eye(3), lam=5.0, delta=1e-10)
     assert out.rank == 0
-    out2 = approx_svt(z, np.eye(3), lam=1.5, delta=1e-12)
+    out2, _ = approx_svt(z, np.eye(3), lam=1.5, delta=1e-12)
     assert np.allclose(out2.to_matrix(), np.diag([2.5, 0.5, 0.0]), atol=1e-10)
 
 
@@ -138,7 +138,7 @@ def test_approx_svt_gap_shrinks_with_delta(rng):
     exact = svt_exact(z, lam).to_matrix()
     gaps = []
     for delta in (1e-1, 1e-3, 1e-5, 1e-7):
-        out = approx_svt(z, rng.normal(size=(30, 6)), lam, delta, max_iters=500)
+        out, _ = approx_svt(z, rng.normal(size=(30, 6)), lam, delta, max_iters=500)
         gaps.append(np.linalg.norm(out.to_matrix() - exact))
     for a, b in zip(gaps, gaps[1:]):
         assert b <= a + 1e-10
@@ -190,3 +190,12 @@ def test_qr_orthonormalize_drops_zero_column():
     e1[0] = 1.0
     q = qr_orthonormalize(np.hstack([e1, np.zeros((6, 1))]))
     assert q.shape == (6, 1)
+
+
+def test_approx_svt_reports_an_unconverged_power_method(rng):
+    z = rng.normal(size=(20, 15))
+    out, converged = approx_svt(z, rng.normal(size=(15, 3)), lam=0.5, delta=1e-14,
+                                max_iters=1)
+    assert not converged and out.rank <= 3
+    _, converged = approx_svt(z, rng.normal(size=(15, 3)), lam=0.5, delta=1e3)
+    assert converged

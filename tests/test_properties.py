@@ -1,4 +1,5 @@
-"""Property tests: observation-set invariants, the data term, file formats."""
+"""Property tests: observation-set invariants, the data term, file formats,
+the sparse-plus-low-rank operator and singular value thresholding."""
 
 import tempfile
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.special import expit
 
 from heteromc import (
@@ -19,10 +21,16 @@ from heteromc import (
     g_value,
     grad_neg_log_likelihood,
     neg_log_likelihood,
+    ThinFactors,
+    approx_svt,
+    rank1_svd,
     risk_subgradient,
+    svt_exact,
 )
 from heteromc import io as hio
-from heteromc.objectives import solver_loss_terms
+from heteromc import objectives
+from heteromc.lowrank import SparsePlusLowRank
+from heteromc.objectives import DataTerm, solver_loss_terms
 from heteromc.solvers import _data_terms
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -177,7 +185,7 @@ def test_solver_data_term_matches_entry_loop(obs, data):
                    for _ in obs.layout.d_vs)
     obs = _labelled(obs, chosen)
     cfg = SolverConfig(mode="general_loss", losses=chosen, smoothing=0.5)
-    value, grad = _data_terms(obs, cfg)
+    _, value, grad = _data_terms(obs, cfg)
     w = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(
         size=(obs.layout.d_u, obs.layout.D))
     n = obs.layout.d_u * obs.layout.D
@@ -221,3 +229,82 @@ def test_layout_json_round_trip(layout, data):
         path = Path(tmp) / "layout.json"
         hio.save_layout(path, layout, fams)
         assert hio.load_layout(path) == (layout, fams)
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def random_operator(m, n, r, density, rng):
+    """A SparsePlusLowRank and the dense matrix it stands for."""
+    a, b = rng.normal(size=(m, r)), rng.normal(size=(n, r))
+    s = sparse.random(m, n, density=density, format="csr", random_state=rng)
+    return SparsePlusLowRank(a, b, s), a @ b.T + s.toarray()
+
+
+@SETTINGS
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 3), st.floats(0.0, 1.0),
+       st.integers(1, 4), seeds)
+def test_operator_products_match_the_dense_matrix(m, n, r, density, k, seed):
+    rng = np.random.default_rng(seed)
+    op, dense = random_operator(m, n, r, density, rng)
+    x, y = rng.normal(size=(n, k)), rng.normal(size=(m, k))
+    assert op.shape == dense.shape
+    assert np.allclose(op @ x, dense @ x, rtol=1e-12, atol=1e-12)
+    assert np.allclose(op.T @ y, dense.T @ y, rtol=1e-12, atol=1e-12)
+
+
+@SETTINGS
+@given(observation_sets(), st.integers(0, 3), st.integers(1, 40), seeds)
+def test_factor_gather_matches_dense_entries(obs, r, tile, seed):
+    # small tiles give several row tiles, some of them without observations
+    rng = np.random.default_rng(seed)
+    f = ThinFactors(rng.normal(size=(obs.layout.d_u, r)), rng.uniform(0.1, 2.0, r),
+                    rng.normal(size=(obs.layout.D, r)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(objectives, "_TILE_ENTRIES", tile)
+        eta = DataTerm(obs, [(None, None)] * obs.layout.V).gather(f)
+    assert np.allclose(eta, f.to_matrix()[obs.i, obs.cols], rtol=1e-12, atol=1e-12)
+    assert np.array_equal(obs.to_csr().toarray(), obs.dense_y())
+
+
+@SETTINGS
+@given(st.integers(1, 8), st.integers(1, 8), st.floats(0.05, 1.0), seeds)
+def test_rank1_svd_sparse_and_dense_agree(m, n, density, seed):
+    y = sparse.random(m, n, density=density, format="csr",
+                      random_state=np.random.default_rng(seed))
+    if not y.nnz:
+        return
+    u_s, sigma_s, v_s = rank1_svd(y)
+    u_d, sigma_d, v_d = rank1_svd(y.toarray())
+    assert sigma_s == pytest.approx(sigma_d, rel=1e-10)
+    assert np.allclose(u_s, u_d, atol=1e-8) and np.allclose(v_s, v_d, atol=1e-8)
+
+
+@SETTINGS
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 3), st.floats(0.0, 1.0),
+       st.data(), seeds)
+def test_svt_is_the_nuclear_norm_prox(m, n, r, density, data, seed):
+    op, z = random_operator(m, n, r, density, np.random.default_rng(seed))
+    s_all = np.linalg.svd(z, compute_uv=False)
+    if s_all[0] < 1e-2:
+        return
+    # a threshold halfway between two singular values (or above them all),
+    # kept off the numerically zero ones
+    floor = max(1e-3 * s_all[0], 1e-3)
+    cut = data.draw(st.integers(0, s_all.size - 1))
+    below = s_all[cut + 1] if cut + 1 < s_all.size else 0.0
+    tau = max((s_all[cut] + below) / 2, floor)
+    x = svt_exact(z, tau)
+    # z - x = tau (U V^T + W), U^T W = 0, W V = 0, ||W||_2 <= 1
+    w = (z - x.to_matrix()) / tau - x.u @ x.v.T
+    assert np.allclose(x.u.T @ w, 0.0, atol=1e-9)
+    assert np.allclose(w @ x.v, 0.0, atol=1e-9)
+    assert np.linalg.norm(w, 2) <= 1.0 + 1e-9
+    # a warm start spanning the surviving right singular subspace, plus one
+    # direction outside the null space
+    k = min(x.rank + 1, int(np.sum(s_all > floor)))
+    r0 = np.linalg.svd(z)[2][:k].T
+    for form in (z, op):
+        out, converged = approx_svt(form, r0, tau, delta=1e-8)
+        assert converged and out.rank == x.rank
+        assert np.allclose(out.to_matrix(), x.to_matrix(), atol=1e-8)

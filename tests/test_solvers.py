@@ -23,7 +23,9 @@ from heteromc import (
     theory_bound,
     tight_lipschitz,
 )
+from heteromc import solvers
 from heteromc.data import BlockLayout, ObservationSet, estimate_mu
+from heteromc.lowrank import ThinFactors
 from heteromc.solvers import config_from_dict, config_to_dict
 
 from conftest import GAUSS, gaussian_instance
@@ -355,3 +357,51 @@ def test_plais_mixed_family_likelihood():
     # the fit is closer to the truth than the zero matrix, per-family
     assert bregman_fit(obs, w_hat, truth.values) < bregman_fit(
         obs, np.zeros_like(w_hat), truth.values)
+
+
+def _sparse_fit_setup(mode):
+    obs, _ = gaussian_instance(d_u=60, d_vs=(30, 30), ranks=(3, 2), seed=21, p=0.15)
+    if mode == "likelihood":
+        lip = tight_lipschitz(obs)
+        return obs, SolverConfig(lam=data_scale_lambda(obs, lip), lipschitz=lip,
+                                 init_rank=10)
+    losses = (LipschitzLoss.quantile(0.5),) * 2
+    lip = 1.0 / (obs.layout.d_u * obs.layout.D)  # smoothing 1 -> curvature 1
+    return obs, SolverConfig(mode="general_loss", losses=losses, smoothing=1.0,
+                             lam=data_scale_lambda(obs, lip), lipschitz=lip, init_rank=10)
+
+
+@pytest.mark.parametrize("mode", ["likelihood", "general_loss"])
+def test_plais_dense_and_structured_z_give_the_same_fit(monkeypatch, mode):
+    obs, cfg = _sparse_fit_setup(mode)
+    fits = []
+    for crossover in (0.0, 1.0):  # every instance dense, then none
+        monkeypatch.setattr(solvers, "DENSE_Z_MIN_DENSITY", crossover)
+        fits.append(plais_impute(obs, cfg))
+    dense, structured = fits
+    assert dense.terminated_by == structured.terminated_by == "tolerance"
+    assert dense.rank_history == structured.rank_history
+    assert dense.restarts == structured.restarts
+    assert np.allclose(dense.objective_history, structured.objective_history,
+                       rtol=1e-9, atol=0)
+
+
+def test_plais_structured_z_builds_no_dense_matrix(monkeypatch):
+    obs, cfg = _sparse_fit_setup("likelihood")
+
+    def forbidden(self):
+        raise AssertionError("built a d_u x D matrix")
+
+    monkeypatch.setattr(solvers, "DENSE_Z_MIN_DENSITY", 1.0)
+    monkeypatch.setattr(ObservationSet, "dense_y", forbidden)
+    monkeypatch.setattr(ThinFactors, "to_matrix", forbidden)
+    fit = plais_impute(obs, cfg)
+    assert fit.terminated_by == "tolerance" and fit.factors.rank > 0
+
+
+def test_plais_flags_a_power_method_at_its_cap(monkeypatch):
+    obs, cfg = _sparse_fit_setup("likelihood")
+    capped = solvers.approx_svt
+    monkeypatch.setattr(solvers, "approx_svt",
+                        lambda *args: capped(*args, max_iters=1))
+    assert plais_impute(obs, cfg).flags.count("power_not_converged") == 1
