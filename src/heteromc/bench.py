@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 from scipy.stats import binomtest
@@ -32,7 +33,7 @@ from .data import (
     observe_from_model,
 )
 from .families import ExpFamilyModel, model_from_dict, model_to_dict
-from .lowrank import rank1_svd
+from .lowrank import _values, rank1_svd
 from .objectives import empirical_risk, map_binary_labels
 from .solvers import (
     FitResult,
@@ -48,8 +49,7 @@ from .solvers import (
 
 def relative_error(w_hat, w_true) -> float:
     """Frobenius error of the estimate relative to the full ground truth."""
-    hv = w_hat.values if hasattr(w_hat, "values") else np.asarray(w_hat, float)
-    tv = w_true.values if hasattr(w_true, "values") else np.asarray(w_true, float)
+    hv, tv = _values(w_hat), _values(w_true)
     if hv.shape != tv.shape:
         raise ValueError("shapes disagree")
     denom = np.linalg.norm(tv)
@@ -58,8 +58,18 @@ def relative_error(w_hat, w_true) -> float:
     return float(np.linalg.norm(hv - tv) / denom)
 
 
-# JSON key of each ExperimentSpec field whose key differs from its name
+# JSON key of each field whose key differs from its name
 _SPEC_KEYS = {"fit_families": "families"}
+_RECORD_KEYS = {"lambda_used": "lambda"}
+
+
+def _fields_dict(obj, keys: dict) -> dict:
+    """Dataclass fields by JSON key, tuples as lists."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        out[keys.get(f.name, f.name)] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 @dataclass(frozen=True)
@@ -92,11 +102,8 @@ class ExperimentSpec:
     experiment_id: str = "exp"
 
     def __post_init__(self):
-        object.__setattr__(self, "d_vs", tuple(self.d_vs))
-        object.__setattr__(self, "ranks", tuple(self.ranks))
-        object.__setattr__(self, "factor_laws", tuple(self.factor_laws))
-        object.__setattr__(self, "p_grid", tuple(self.p_grid))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        for name in ("d_vs", "ranks", "factor_laws", "p_grid", "methods"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.fit_families is not None:
             object.__setattr__(self, "fit_families", tuple(self.fit_families))
         if not self.p_grid or any(not 0 < p <= 1 for p in self.p_grid):
@@ -118,16 +125,10 @@ class ExperimentSpec:
                      for _ in self.d_vs)
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "solver":
-                value = config_to_dict(value)
-            elif f.name == "fit_families":
-                value = None if value is None else [model_to_dict(m) for m in value]
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[_SPEC_KEYS.get(f.name, f.name)] = value
+        out = _fields_dict(self, _SPEC_KEYS)
+        out["solver"] = config_to_dict(self.solver)
+        fams = self.fit_families
+        out["families"] = None if fams is None else [model_to_dict(m) for m in fams]
         return out
 
     @classmethod
@@ -162,21 +163,7 @@ class MetricRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "p": self.p,
-            "trial": self.trial,
-            "method": self.method,
-            "re_collective": self.re_collective,
-            "re_per_source": list(self.re_per_source),
-            "sq_error": self.sq_error,
-            "final_rank": self.final_rank,
-            "wall_time": self.wall_time,
-            "lambda": self.lambda_used,
-            "heldout_risk": self.heldout_risk,
-            "objective_trace": list(self.objective_trace),
-            "error": self.error,
-        }
+        return _fields_dict(self, _RECORD_KEYS)
 
 
 def _derive_seed(*parts) -> int:
@@ -190,7 +177,7 @@ def _fit_config(spec: ExperimentSpec, obs_train: ObservationSet) -> SolverConfig
     if spec.rel_lambda is not None:
         # data-scale weight: a fraction of the observed spectral norm in
         # penalty units, independent of the family curvature
-        sigma1 = rank1_svd(obs_train.dense_y())[1]
+        sigma1 = rank1_svd(obs_train.to_csr())[1]
         n = obs_train.layout.d_u * obs_train.layout.D
         cfg = replace(cfg, lam=spec.rel_lambda * sigma1 / n)
     return cfg
@@ -203,19 +190,28 @@ def _split(obs: ObservationSet, fraction: float, seed) -> tuple[ObservationSet, 
     return obs.subset(np.sort(perm[:n_train])), obs.subset(np.sort(perm[n_train:]))
 
 
-def _observe(spec: ExperimentSpec, truth: CollectiveMatrix, p: float, seed) -> ObservationSet:
+def _instance(spec: ExperimentSpec, p: float, p_idx: int,
+              trial: int) -> tuple[CollectiveMatrix, ObservationSet]:
+    """Ground truth of one trial and its observations at rate ``p``."""
+    truth = generate_synthetic(SyntheticConfig(
+        spec.d_u, spec.d_vs, spec.ranks, spec.factor_laws, gamma=spec.gamma,
+        seed=_derive_seed(spec.seed, 1, p_idx, trial),
+        shared_factors=spec.shared_factors,
+    ))
     scheme = SamplingScheme.uniform(p)
+    seed = _derive_seed(spec.seed, 2, p_idx, trial)
     if spec.noise == "model":
         obs = observe_from_model(truth, spec.families(), scheme, seed)
     else:
         obs = mask_sample(truth, scheme, seed, spec.families())
     if spec.solver.mode == "general_loss":
         obs = map_binary_labels(obs, spec.solver.losses)
-    return obs
+    return truth, obs
 
 
-def _fit_collective(spec: ExperimentSpec, obs_train: ObservationSet) -> FitResult:
-    return plais_impute(obs_train, _fit_config(spec, obs_train))
+def _fit_collective(spec: ExperimentSpec, obs_train: ObservationSet) -> tuple[np.ndarray, list[FitResult]]:
+    fit = plais_impute(obs_train, _fit_config(spec, obs_train))
+    return fit.factors.to_matrix(), [fit]
 
 
 def _fit_source(spec: ExperimentSpec, obs: ObservationSet, v: int) -> FitResult:
@@ -232,78 +228,57 @@ def _fit_per_source(spec: ExperimentSpec, obs_train: ObservationSet) -> tuple[np
     return np.hstack([fit.factors.to_matrix() for fit in fits]), fits
 
 
-def _block_slices(spec: ExperimentSpec) -> list[slice]:
-    offsets = np.concatenate([[0], np.cumsum(spec.d_vs)])
-    return [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
+def _trial_record(spec: ExperimentSpec, p: float, trial: int, method: str,
+                  truth: CollectiveMatrix, fit, obs_test: ObservationSet | None = None) -> MetricRecord:
+    """Record of ``fit() -> (w_hat, fits)`` against ``truth``.
+
+    Rank and wall time are summed over the fits; the weight and the
+    objective trace are the first fit's.  A fit that raises a numerical or
+    input error gives a record with NaN errors and the message in ``error``.
+    """
+    try:
+        w_hat, fits = fit()
+        layout = truth.layout
+        return MetricRecord(
+            experiment_id=spec.experiment_id,
+            p=p,
+            trial=trial,
+            method=method,
+            re_collective=relative_error(w_hat, truth),
+            re_per_source=tuple(relative_error(w_hat[:, layout.block_cols(v)], truth.block(v))
+                                for v in range(layout.V)),
+            sq_error=float(np.sum((w_hat - truth.values) ** 2)) / truth.values.size,
+            final_rank=sum(f.factors.rank for f in fits),
+            wall_time=sum(f.wall_time for f in fits),
+            lambda_used=fits[0].lambda_used,
+            heldout_risk=_heldout(spec, obs_test, w_hat),
+            objective_trace=tuple(fits[0].objective_history),
+        )
+    except (ValueError, NumericalError, np.linalg.LinAlgError) as exc:
+        nan = float("nan")
+        return MetricRecord(spec.experiment_id, p, trial, method, nan,
+                            tuple(nan for _ in spec.d_vs), nan, 0, 0.0, nan,
+                            error=str(exc))
 
 
-def _record(spec: ExperimentSpec, truth_values: np.ndarray, w_hat: np.ndarray,
-            p: float, trial: int, method: str, fit_meta: dict,
-            heldout_risk: float | None) -> MetricRecord:
-    per_source = tuple(
-        relative_error(w_hat[:, sl], truth_values[:, sl])
-        for sl in _block_slices(spec)
-    )
-    return MetricRecord(
-        experiment_id=spec.experiment_id,
-        p=p,
-        trial=trial,
-        method=method,
-        re_collective=relative_error(w_hat, truth_values),
-        re_per_source=per_source,
-        sq_error=float(np.sum((w_hat - truth_values) ** 2)) / truth_values.size,
-        final_rank=fit_meta["rank"],
-        wall_time=fit_meta["wall_time"],
-        lambda_used=fit_meta["lambda"],
-        heldout_risk=heldout_risk,
-        objective_trace=tuple(fit_meta["trace"]),
-    )
-
-
-def _failed_record(spec, p, trial, method, message) -> MetricRecord:
-    nan = float("nan")
-    return MetricRecord(spec.experiment_id, p, trial, method, nan,
-                        tuple(nan for _ in spec.d_vs), nan, 0, 0.0, nan,
-                        error=message)
-
-
-def _heldout(spec: ExperimentSpec, obs_test: ObservationSet, w_hat: np.ndarray) -> float | None:
-    if spec.solver.mode != "general_loss" or obs_test.n == 0:
+def _heldout(spec: ExperimentSpec, obs_test: ObservationSet | None, w_hat: np.ndarray) -> float | None:
+    if spec.solver.mode != "general_loss" or obs_test is None or obs_test.n == 0:
         return None
     return empirical_risk(obs_test, w_hat, spec.solver.losses)
 
 
+_FITTERS = {"collective": _fit_collective, "per_source": _fit_per_source}
+
+
 def _run_cell(spec: ExperimentSpec, p: float, p_idx: int, trial: int) -> list[MetricRecord]:
-    truth = generate_synthetic(SyntheticConfig(
-        spec.d_u, spec.d_vs, spec.ranks, spec.factor_laws, gamma=spec.gamma,
-        seed=_derive_seed(spec.seed, 1, p_idx, trial),
-        shared_factors=spec.shared_factors,
-    ))
-    obs = _observe(spec, truth, p, _derive_seed(spec.seed, 2, p_idx, trial))
+    truth, obs = _instance(spec, p, p_idx, trial)
+    obs_train, obs_test = obs, None
     if spec.train_fraction < 1:
         obs_train, obs_test = _split(obs, spec.train_fraction,
                                      _derive_seed(spec.seed, 3, p_idx, trial))
-    else:
-        obs_train, obs_test = obs, obs.subset(np.array([], dtype=int))
-    records = []
-    for method in spec.methods:
-        try:
-            if method == "collective":
-                fit = _fit_collective(spec, obs_train)
-                w_hat = fit.factors.to_matrix()
-                meta = {"rank": fit.factors.rank, "wall_time": fit.wall_time,
-                        "lambda": fit.lambda_used, "trace": fit.objective_history}
-            else:
-                w_hat, fits = _fit_per_source(spec, obs_train)
-                meta = {"rank": sum(f.factors.rank for f in fits),
-                        "wall_time": sum(f.wall_time for f in fits),
-                        "lambda": fits[0].lambda_used,
-                        "trace": fits[0].objective_history}
-            records.append(_record(spec, truth.values, w_hat, p, trial, method,
-                                   meta, _heldout(spec, obs_test, w_hat)))
-        except (ValueError, NumericalError, np.linalg.LinAlgError) as exc:
-            records.append(_failed_record(spec, p, trial, method, str(exc)))
-    return records
+    return [_trial_record(spec, p, trial, method, truth,
+                          partial(_FITTERS[method], spec, obs_train), obs_test)
+            for method in spec.methods]
 
 
 def _run_jobs(job, items, jobs: int) -> list[MetricRecord]:
@@ -338,42 +313,22 @@ def run_cold_start(spec: ExperimentSpec, target_v: int, jobs: int = 1,
     p = spec.p_grid[0]
 
     def one_trial(trial: int) -> list[MetricRecord]:
-        truth = generate_synthetic(SyntheticConfig(
-            spec.d_u, spec.d_vs, spec.ranks, spec.factor_laws, gamma=spec.gamma,
-            seed=_derive_seed(spec.seed, 1, 0, trial),
-            shared_factors=spec.shared_factors,
-        ))
-        obs = _observe(spec, truth, p, _derive_seed(spec.seed, 2, 0, trial))
-        truth_cold = truth.values.copy()
+        truth, obs = _instance(spec, p, 0, trial)
         if transform:
-            obs_cold = cold_start_transform(obs, target_v)
             zeroed = cold_start_slice(obs, target_v)
-            truth_cold[obs.i[zeroed], obs.cols[zeroed]] = 0.0
-        else:
-            obs_cold = obs
-        records = []
-        try:
-            fit = _fit_collective(spec, obs_cold)
-            records.append(_record(
-                spec, truth_cold, fit.factors.to_matrix(), p, trial,
-                "collective",
-                {"rank": fit.factors.rank, "wall_time": fit.wall_time,
-                 "lambda": fit.lambda_used, "trace": fit.objective_history},
-                None))
-        except (ValueError, NumericalError, np.linalg.LinAlgError) as exc:
-            records.append(_failed_record(spec, p, trial, "collective", str(exc)))
-        try:
-            comp = _fit_source(spec, obs_cold, target_v)
-            w_comp = np.array(truth_cold)
-            w_comp[:, _block_slices(spec)[target_v]] = comp.factors.to_matrix()
-            records.append(_record(
-                spec, truth_cold, w_comp, p, trial, "per_source",
-                {"rank": comp.factors.rank, "wall_time": comp.wall_time,
-                 "lambda": comp.lambda_used, "trace": comp.objective_history},
-                None))
-        except (ValueError, NumericalError, np.linalg.LinAlgError) as exc:
-            records.append(_failed_record(spec, p, trial, "per_source", str(exc)))
-        return records
+            truth = truth.copy()
+            truth.values[obs.i[zeroed], obs.cols[zeroed]] = 0.0
+            obs = cold_start_transform(obs, target_v)
+
+        def fit_component():
+            fit = _fit_source(spec, obs, target_v)
+            w_hat = truth.values.copy()
+            w_hat[:, truth.layout.block_cols(target_v)] = fit.factors.to_matrix()
+            return w_hat, [fit]
+
+        return [_trial_record(spec, p, trial, "collective", truth,
+                              partial(_fit_collective, spec, obs)),
+                _trial_record(spec, p, trial, "per_source", truth, fit_component)]
 
     return _run_jobs(one_trial, range(spec.trials), jobs)
 
@@ -392,20 +347,24 @@ def summarize(records: list[MetricRecord]) -> list[dict]:
     return out
 
 
+def _bound_at(bound_params: dict | None, p: float) -> float | None:
+    """Reference bound at sampling rate ``p``; None without parameters."""
+    if bound_params is None:
+        return None
+    params = dict(bound_params)
+    kind = params.pop("kind", "expfam")
+    params["p"] = p
+    params.setdefault("mu", p * max(params["d_u"], params["D"]))
+    return theory_bound(kind, params)
+
+
 def curve_table(records: list[MetricRecord], bound_params: dict | None = None,
                 method: str = "collective") -> list[dict]:
     """Rows ``p, mean_re, std_re, bound`` for external plotting."""
     rows = []
     for entry in summarize([r for r in records if r.method == method]):
-        bound = None
-        if bound_params is not None:
-            params = dict(bound_params)
-            kind = params.pop("kind", "expfam")
-            params["p"] = entry["p"]
-            params.setdefault("mu", entry["p"] * max(params["d_u"], params["D"]))
-            bound = theory_bound(kind, params)
         rows.append({"p": entry["p"], "mean_re": entry["mean_re"],
-                     "std_re": entry["std_re"], "bound": bound})
+                     "std_re": entry["std_re"], "bound": _bound_at(bound_params, entry["p"])})
     return rows
 
 
@@ -429,17 +388,9 @@ def rate_regression(records: list[MetricRecord], bound_params: dict | None = Non
     ss_res = float(np.sum((means - fitted) ** 2))
     ss_tot = float(np.sum((means - means.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    table = []
-    for p, mean_sq, fit_val in zip(ps, means, fitted):
-        bound = None
-        if bound_params is not None:
-            params = dict(bound_params)
-            kind = params.pop("kind", "expfam")
-            params["p"] = p
-            params.setdefault("mu", p * max(params["d_u"], params["D"]))
-            bound = theory_bound(kind, params)
-        table.append({"p": p, "mean_sq_error": float(mean_sq),
-                      "fitted": float(fit_val), "bound": bound})
+    table = [{"p": p, "mean_sq_error": float(mean_sq), "fitted": float(fit_val),
+              "bound": _bound_at(bound_params, p)}
+             for p, mean_sq, fit_val in zip(ps, means, fitted)]
     return {"slope": float(slope), "intercept": float(intercept),
             "r_squared": float(r_squared), "curve_table": table}
 

@@ -145,8 +145,9 @@ def power_method(z, r0: np.ndarray, delta: float,
     """Warm-started subspace iteration for the top left singular subspace of z.
 
     Stops when consecutive projectors differ by at most ``delta`` in
-    Frobenius norm; returns ``(q, converged)``.  Rank-deficient
-    intermediates are re-orthonormalized with a deterministic random refill.
+    Frobenius norm; returns ``(q, converged)``.  A rank-deficient step keeps
+    the narrower basis of its numerical range, so ``q`` can have fewer
+    columns than the warm start (none when ``z @ r0`` vanishes).
     ``z`` is a dense matrix or anything with ``@`` and ``.T``, such as a
     :class:`SparsePlusLowRank`.
     """
@@ -156,7 +157,6 @@ def power_method(z, r0: np.ndarray, delta: float,
         raise ValueError("warm start must be a D x k matrix with k >= 1")
     if r0.shape[1] > z.shape[0]:
         raise ValueError("warm-start width exceeds the row dimension")
-    refill_rng = np.random.default_rng(7919)
     w = z @ r0
     prev_q = None
     converged = False
@@ -164,8 +164,6 @@ def power_method(z, r0: np.ndarray, delta: float,
         if not np.all(np.isfinite(w)):
             raise np.linalg.LinAlgError("power iteration produced non-finite values")
         q = qr_orthonormalize(w)
-        if q.shape[1] < w.shape[1]:
-            q = _refill(q, w.shape[1], refill_rng)
         if prev_q is not None and _subspace_gap(q, prev_q) <= delta:
             converged = True
             break

@@ -21,7 +21,7 @@ from scipy.special import expit
 
 from .data import CollectiveMatrix, ObservationSet
 from .families import g_prime, g_value, bregman, strong_convexity_bounds
-from .lowrank import ThinFactors, rank1_svd
+from .lowrank import ThinFactors, _values, rank1_svd
 
 LOSS_KINDS = ("hinge", "logistic", "quantile")
 
@@ -30,10 +30,6 @@ LOSS_KINDS = ("hinge", "logistic", "quantile")
 # tiles of 2^18 entries (27-37 ms for 2^15-2^21), against 125 ms for a
 # fancy-indexed einsum (2 CPUs, 1 BLAS thread).
 _TILE_ENTRIES = 2**18
-
-
-def _values(w) -> np.ndarray:
-    return w.values if hasattr(w, "values") else np.asarray(w, dtype=float)
 
 
 def _n_total(obs: ObservationSet) -> int:

@@ -413,8 +413,6 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     factors = ThinFactors(u0.reshape(-1, 1), np.array([sigma1]), v0.reshape(-1, 1))
     factors_prev = factors
     eta = eta_prev = term.gather(factors)
-    basis_prev = v0.reshape(-1, 1).copy()
-    basis_cur = v0.reshape(-1, 1).copy()
     f_cur = _check_finite(value(eta) + lam * sigma1)
     c = 1
     objective_history = [f_cur]
@@ -434,7 +432,7 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
         else:
             g = term.grad_on_omega((1.0 + theta) * eta - theta * eta_prev)
             z = SparsePlusLowRank(a, b, obs.to_csr(-g / big_l))
-        basis = _warm_basis(basis_cur, basis_prev, cfg.basis_drop)
+        basis = _warm_basis(factors.v, factors_prev.v, cfg.basis_drop)
         if t == 1 and cfg.init_rank is not None:
             basis = _refill(basis, min(cfg.init_rank, width_cap),
                             np.random.default_rng((8081, t)))
@@ -458,7 +456,6 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
             iter_callback(t, lam_t, new_factors.rank, f_next)
         factors_prev, factors = factors, new_factors
         eta_prev, eta = eta, eta_next
-        basis_prev, basis_cur = basis_cur, new_factors.v
         stop = abs(f_next - f_cur) <= cfg.epsilon
         # a rank-0 collapse while lambda_t is still decaying is legitimate:
         # keep iterating so the continuation can revive the factors

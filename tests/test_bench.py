@@ -213,3 +213,17 @@ def test_experiment_spec_dict_round_trip():
                       fit_families=(ExpFamilyModel("poisson"),
                                     ExpFamilyModel("binomial", 2)))
     assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_failed_fits_give_error_records():
+    from heteromc import LipschitzLoss
+    # the proximal solvers reject the hinge loss, so every fit raises
+    spec = small_spec(methods=("collective", "per_source"), solver=SolverConfig(
+        mode="general_loss", losses=(LipschitzLoss.hinge(), LipschitzLoss.hinge())))
+    for records in (run_experiment(spec), run_cold_start(spec, target_v=0)):
+        assert [r.method for r in records] == ["collective", "per_source"]
+        for r in records:
+            assert r.error
+            assert math.isnan(r.re_collective) and math.isnan(r.sq_error)
+            assert len(r.re_per_source) == 2 and all(map(math.isnan, r.re_per_source))
+            assert r.final_rank == 0

@@ -199,3 +199,13 @@ def test_approx_svt_reports_an_unconverged_power_method(rng):
     assert not converged and out.rank <= 3
     _, converged = approx_svt(z, rng.normal(size=(15, 3)), lam=0.5, delta=1e3)
     assert converged
+
+
+def test_power_method_converges_on_a_warm_start_wider_than_the_rank(rng):
+    # rank-1 z, 2-column warm start: the dependent column is dropped, not
+    # replaced, so the basis settles at width 1
+    z = np.outer(rng.normal(size=6), rng.normal(size=5))
+    q, converged = power_method(z, rng.normal(size=(5, 2)), delta=1e-8)
+    assert converged
+    assert q.shape == (6, 1)
+    assert np.linalg.norm(z - q @ (q.T @ z)) <= 1e-8 * np.linalg.norm(z)
