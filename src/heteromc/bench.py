@@ -190,9 +190,14 @@ def _split(obs: ObservationSet, fraction: float, seed) -> tuple[ObservationSet, 
     return obs.subset(np.sort(perm[:n_train])), obs.subset(np.sort(perm[n_train:]))
 
 
-def _instance(spec: ExperimentSpec, p: float, p_idx: int,
-              trial: int) -> tuple[CollectiveMatrix, ObservationSet]:
-    """Ground truth of one trial and its observations at rate ``p``."""
+def _instance(spec: ExperimentSpec, p: float, p_idx: int, trial: int,
+              cold_v: int | None = None) -> tuple[CollectiveMatrix, ObservationSet]:
+    """Ground truth of one trial and its observations at rate ``p``.
+
+    With ``cold_v`` the first fifth of that source's observations and the
+    truth entries under them are zeroed (a cold start), before 0/1 labels
+    are recoded for margin losses, so zeroed labels become -1.
+    """
     truth = generate_synthetic(SyntheticConfig(
         spec.d_u, spec.d_vs, spec.ranks, spec.factor_laws, gamma=spec.gamma,
         seed=_derive_seed(spec.seed, 1, p_idx, trial),
@@ -204,6 +209,11 @@ def _instance(spec: ExperimentSpec, p: float, p_idx: int,
         obs = observe_from_model(truth, spec.families(), scheme, seed)
     else:
         obs = mask_sample(truth, scheme, seed, spec.families())
+    if cold_v is not None:
+        zeroed = cold_start_slice(obs, cold_v)
+        truth = truth.copy()
+        truth.values[obs.i[zeroed], obs.cols[zeroed]] = 0.0
+        obs = cold_start_transform(obs, cold_v)
     if spec.solver.mode == "general_loss":
         obs = map_binary_labels(obs, spec.solver.losses)
     return truth, obs
@@ -313,12 +323,7 @@ def run_cold_start(spec: ExperimentSpec, target_v: int, jobs: int = 1,
     p = spec.p_grid[0]
 
     def one_trial(trial: int) -> list[MetricRecord]:
-        truth, obs = _instance(spec, p, 0, trial)
-        if transform:
-            zeroed = cold_start_slice(obs, target_v)
-            truth = truth.copy()
-            truth.values[obs.i[zeroed], obs.cols[zeroed]] = 0.0
-            obs = cold_start_transform(obs, target_v)
+        truth, obs = _instance(spec, p, 0, trial, target_v if transform else None)
 
         def fit_component():
             fit = _fit_source(spec, obs, target_v)

@@ -3,6 +3,9 @@
 The approximate path follows the warm-started subspace (power) iteration:
 once an orthonormal basis Q captures the top left singular subspace of Z,
 thresholding the small matrix Q^T Z reproduces the thresholding of Z itself.
+Only the singular directions above the threshold survive that step, so the
+iteration stops once the Rayleigh-Ritz subspace above the threshold has
+settled, whatever the rest of Q still does.
 That path touches Z only through the products ``z @ x`` and ``z.T @ y``, so
 Z may be a dense array or a :class:`SparsePlusLowRank` operator, which a
 solver on sparsely observed data uses to never form a d_u x D matrix.
@@ -140,16 +143,23 @@ def _refill(q: np.ndarray, width: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def power_method(z, r0: np.ndarray, delta: float,
-                 max_iters: int = 100) -> tuple[np.ndarray, bool]:
+def power_method(z, r0: np.ndarray, delta: float, max_iters: int = 100,
+                 lam: float = 0.0) -> tuple[np.ndarray, bool]:
     """Warm-started subspace iteration for the top left singular subspace of z.
 
-    Stops when consecutive projectors differ by at most ``delta`` in
-    Frobenius norm; returns ``(q, converged)``.  A rank-deficient step keeps
-    the narrower basis of its numerical range, so ``q`` can have fewer
-    columns than the warm start (none when ``z @ r0`` vanishes).
-    ``z`` is a dense matrix or anything with ``@`` and ``.T``, such as a
-    :class:`SparsePlusLowRank`.
+    Each step forms ``y = z.T @ q`` and the Rayleigh-Ritz pairs of the
+    k x k Gram ``y.T @ y``; the Ritz vectors whose singular value estimate
+    exceeds ``lam`` span ``p = q @ vec[:, keep]``, the part of the basis
+    that survives a threshold at ``lam``.  The iteration stops when
+    consecutive ``p`` differ by at most ``delta`` in projector Frobenius
+    norm, so a tail below ``lam`` that is still moving does not hold it up;
+    ``lam = 0`` tests the whole basis.  A Ritz value crossing ``lam`` changes
+    the width of ``p`` and so the gap by at least 1.  Returns
+    ``(q, converged)``.  A rank-deficient step keeps the narrower basis of
+    its numerical range, so ``q`` can have fewer columns than the warm start
+    (none when ``z @ r0`` vanishes).  Non-finite products raise
+    ``LinAlgError``.  ``z`` is a dense matrix or anything with ``@`` and
+    ``.T``, such as a :class:`SparsePlusLowRank`.
     """
     z = _operand(z)
     r0 = np.asarray(r0, dtype=float)
@@ -157,26 +167,41 @@ def power_method(z, r0: np.ndarray, delta: float,
         raise ValueError("warm start must be a D x k matrix with k >= 1")
     if r0.shape[1] > z.shape[0]:
         raise ValueError("warm-start width exceeds the row dimension")
-    w = z @ r0
-    prev_q = None
+    prev_p = None
     converged = False
-    for _ in range(max(max_iters, 1)):
-        if not np.all(np.isfinite(w)):
-            raise np.linalg.LinAlgError("power iteration produced non-finite values")
-        q = qr_orthonormalize(w)
-        if prev_q is not None and _subspace_gap(q, prev_q) <= delta:
-            converged = True
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = z @ (z.T @ q)
-        prev_q = q
+    # an overflow leaves non-finite values, which raise LinAlgError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = z @ r0
+        for _ in range(max(max_iters, 1)):
+            _require_finite(w)
+            q = qr_orthonormalize(w)
+            y = z.T @ q
+            gram = y.T @ y
+            # finite only if y is and forming it did not overflow
+            _require_finite(gram)
+            # the Gram's eigenvalues are the squared Ritz values, the squared
+            # singular values of Q^T Z that approx_svt thresholds at lam
+            ritz_sq, vec = np.linalg.eigh(gram)
+            p = q @ vec[:, ritz_sq > lam * lam]
+            if prev_p is not None and _subspace_gap(p, prev_p) <= delta:
+                converged = True
+                break
+            w = z @ y
+            prev_p = p
     return q, converged
+
+
+def _require_finite(m: np.ndarray) -> None:
+    if not np.all(np.isfinite(m)):
+        raise np.linalg.LinAlgError("power iteration produced non-finite values")
 
 
 def approx_svt(z, r0: np.ndarray, lam: float, delta: float,
                max_iters: int = 100) -> tuple[ThinFactors, bool]:
     """Approximate SVT: power-method basis, then exact SVT of the small Q^T Z.
 
+    The power method stops on the subspace above ``lam`` (see
+    :func:`power_method`), the only part of Q that reaches the result.
     Returns ``(factors, converged)``, where ``converged`` is the power
     method's: false when it stopped at ``max_iters`` with the gap above
     ``delta``.  With a warm start spanning the surviving subspace the result
@@ -185,7 +210,7 @@ def approx_svt(z, r0: np.ndarray, lam: float, delta: float,
     there.  ``z`` may be an operator, as for :func:`power_method`.
     """
     z = _operand(z)
-    q, converged = power_method(z, r0, delta, max_iters=max_iters)
+    q, converged = power_method(z, r0, delta, max_iters=max_iters, lam=lam)
     u_small, s, vt = np.linalg.svd((z.T @ q).T, full_matrices=False)
     keep = s > lam
     return ThinFactors((q @ u_small)[:, keep], s[keep] - lam, vt[keep].T), converged

@@ -60,9 +60,10 @@ from .objectives import (
 #   2000 x 2100,  p=0.1,  k=40:   29 vs  18 ms;  k=100: 55 vs 49 ms;
 #                         k=300: 108 vs 113 ms
 #   300 x 300,    p=0.2,  k=140: 1.4 vs 2.7 ms;  p=0.6, k=30: 0.5 vs 1.8 ms
-# A whole 2000 x 2100, p=0.1 fit (basis up to ~310 wide) took 22.7 s dense
-# and 22.6-26.8 s structured, so p=0.1 is a wash and the desk-scale sizes
-# need the dense form; the crossover sits between 0.05 and 0.1.
+# A whole 2000 x 2100, p=0.1 fit (basis up to 338 wide) took 10.1-11.1 s
+# dense and 9.7-9.8 s structured, so p=0.1 is about a wash and the
+# desk-scale sizes need the dense form; the crossover sits between 0.05
+# and 0.1.
 DENSE_Z_MIN_DENSITY = 0.075
 
 

@@ -170,6 +170,23 @@ def test_general_loss_mode_records_heldout_risk():
     assert rec.heldout_risk is not None and math.log(2) * 0.1 < rec.heldout_risk
 
 
+def test_cold_start_with_margin_losses_fits():
+    from heteromc import LipschitzLoss
+    # the zeroed 0/1 labels must be recoded with the rest, to -1
+    spec = small_spec(
+        d_u=30, d_vs=(15, 15), ranks=(2, 2), factor_laws=("gaussian", "gaussian"),
+        p_grid=(0.9,), trials=2, methods=("collective", "per_source"),
+        solver=SolverConfig(lam=1e-6, mode="general_loss",
+                            losses=(LipschitzLoss.logistic(), LipschitzLoss.logistic()),
+                            lipschitz=0.25 / (30 * 30), max_iters=150),
+        rel_lambda=None, auto_lipschitz=False, noise="model",
+        fit_families=(ExpFamilyModel("binomial", 1), ExpFamilyModel("binomial", 1)),
+    )
+    records = run_cold_start(spec, target_v=0)
+    assert len(records) == 4
+    assert [r.error for r in records] == [None] * 4
+
+
 def test_per_source_fits_use_their_own_loss():
     from heteromc import LipschitzLoss, map_binary_labels
     from heteromc.bench import _fit_per_source

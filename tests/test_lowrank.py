@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,40 @@ def test_power_method_converges_on_a_warm_start_wider_than_the_rank(rng):
     assert converged
     assert q.shape == (6, 1)
     assert np.linalg.norm(z - q @ (q.T @ z)) <= 1e-8 * np.linalg.norm(z)
+
+
+def test_power_method_rejects_non_finite_input_without_warnings(rng):
+    z = rng.normal(size=(12, 9))
+    z[3, 4] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            power_method(z, rng.normal(size=(9, 3)), delta=1e-8)
+
+
+def test_ritz_stop_ignores_a_clustered_tail_below_the_threshold(rng):
+    # three well-separated values above lam, a slowly converging cluster
+    # below it, and a warm start reaching into the cluster
+    spectrum = np.concatenate([[20.0, 15.0, 10.0], 1.0 - 0.001 * np.arange(20)])
+    z, _ = random_low_rank(60, 40, spectrum.size, rng, spectrum)
+    lam, r0 = 3.0, rng.normal(size=(40, 8))
+    out, converged = approx_svt(z, r0, lam, delta=1e-8, max_iters=8)
+    assert converged
+    exact = svt_exact(z, lam)
+    assert out.rank == exact.rank == 3
+    assert np.linalg.norm(out.to_matrix() - exact.to_matrix()) < 1e-6
+    _, converged = power_method(z, r0, delta=1e-8, max_iters=8, lam=0.0)
+    assert not converged
+
+
+def test_a_ritz_value_crossing_the_threshold_is_not_convergence():
+    # a width-1 basis starting near e2 turns towards e1; its Ritz value
+    # is about 1.0006 after one step and 1.0095 after two
+    z = np.diag([2.0, 1.0, 0.5])
+    r0 = np.array([[0.01], [1.0], [0.0]])
+    # the subspace moves by about 0.085 between the first two steps ...
+    assert power_method(z, r0, delta=0.9, max_iters=2)[1]
+    # ... but with lam between the two Ritz values the surviving part
+    # grows from width 0 to width 1, a gap of at least 1
+    assert not power_method(z, r0, delta=0.9, max_iters=2, lam=1.005)[1]
+    assert power_method(z, r0, delta=0.9, max_iters=3, lam=1.005)[1]
