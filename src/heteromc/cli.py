@@ -24,7 +24,7 @@ from .bench import (
     summarize,
 )
 from .data import BlockLayout, SamplingScheme, SyntheticConfig, generate_synthetic, mask_sample
-from .families import ExpFamilyModel, model_from_dict
+from .families import DomainError, ExpFamilyModel, model_from_dict
 from .solvers import (
     NumericalError,
     SolverConfig,
@@ -167,7 +167,7 @@ def cmd_fit(args) -> int:
                   file=sys.stderr)
     try:
         fit = plais_impute(obs, sc, iter_callback=callback)
-    except np.linalg.LinAlgError:
+    except (np.linalg.LinAlgError, DomainError):
         raise
     except ValueError as exc:
         raise hio.DataFormatError(str(exc)) from exc
@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     except (hio.DataFormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -90,12 +90,6 @@ class CollectiveMatrix:
     def zeros(cls, layout: BlockLayout) -> "CollectiveMatrix":
         return cls(layout, np.zeros((layout.d_u, layout.D)))
 
-    @classmethod
-    def from_blocks(cls, blocks: list[np.ndarray]) -> "CollectiveMatrix":
-        blocks = [np.asarray(b, dtype=float) for b in blocks]
-        layout = BlockLayout(blocks[0].shape[0], tuple(b.shape[1] for b in blocks))
-        return cls(layout, np.hstack(blocks))
-
     def block(self, v: int) -> np.ndarray:
         return self.values[:, self.layout.block_cols(v)]
 
@@ -265,10 +259,14 @@ class ObservationSet:
 
 def mask_sample(full: CollectiveMatrix, scheme: SamplingScheme, seed,
                 families: tuple[ExpFamilyModel, ...] | None = None) -> ObservationSet:
-    """Reveal each entry of ``full`` independently with its scheme probability."""
+    """Reveal each entry of ``full`` independently with its scheme probability.
+
+    A uniform scheme compares the draws with p itself, so no d_u x D table
+    of probabilities is built.
+    """
     rng = np.random.default_rng(seed)
-    probs = scheme.prob_matrix(full.layout)
-    mask = rng.random(probs.shape) < probs
+    probs = scheme.p if scheme.kind == "uniform" else scheme.prob_matrix(full.layout)
+    mask = rng.random(full.values.shape) < probs
     ii, cc = np.nonzero(mask)
     offsets = np.asarray(full.layout.col_offsets + (full.layout.D,))
     vv = np.searchsorted(offsets, cc, side="right") - 1

@@ -129,37 +129,38 @@ def _subspace_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _refill(q: np.ndarray, width: int, rng: np.random.Generator) -> np.ndarray:
-    """Pad the orthonormal basis ``q`` with random orthonormal columns to
-    ``max(width, 1)`` columns."""
-    width = max(width, 1)
-    while q.shape[1] < width:
-        extra = rng.standard_normal((q.shape[0], width - q.shape[1]))
-        if q.shape[1]:
-            extra -= q @ (q.T @ extra)
-        extra = qr_orthonormalize(extra)
-        if extra.shape[1] == 0:
-            raise np.linalg.LinAlgError("cannot refill a degenerate basis")
-        q = np.hstack([q, extra]) if q.shape[1] else extra
-    return q
+    """Append random columns to the basis ``q`` until it has ``max(width, 1)``.
+
+    The power method uses only the span of its warm start, so the new
+    columns are neither orthogonalized nor normalized; they are scaled by
+    1/sqrt(D) to unit expected norm, since the QR drop tolerance is absolute.
+    """
+    extra = max(width, 1) - q.shape[1]
+    if extra <= 0:
+        return q
+    return np.hstack([q, rng.standard_normal((q.shape[0], extra)) / np.sqrt(q.shape[0])])
 
 
 def power_method(z, r0: np.ndarray, delta: float, max_iters: int = 100,
-                 lam: float = 0.0) -> tuple[np.ndarray, bool]:
+                 lam: float = 0.0) -> tuple[np.ndarray, bool, np.ndarray]:
     """Warm-started subspace iteration for the top left singular subspace of z.
 
-    Each step forms ``y = z.T @ q`` and the Rayleigh-Ritz pairs of the
-    k x k Gram ``y.T @ y``; the Ritz vectors whose singular value estimate
-    exceeds ``lam`` span ``p = q @ vec[:, keep]``, the part of the basis
-    that survives a threshold at ``lam``.  The iteration stops when
+    Only the span of the warm start ``r0`` matters; its columns need not be
+    orthonormal.  Each step orthonormalizes ``w = z @ y`` (``y = r0`` at
+    first) into ``q``, forms ``y = z.T @ q`` and the Rayleigh-Ritz pairs of
+    the k x k Gram ``y.T @ y``; the Ritz vectors whose singular value
+    estimate exceeds ``lam`` span ``p = q @ vec[:, keep]``, the part of the
+    basis that survives a threshold at ``lam``.  The iteration stops when
     consecutive ``p`` differ by at most ``delta`` in projector Frobenius
     norm, so a tail below ``lam`` that is still moving does not hold it up;
     ``lam = 0`` tests the whole basis.  A Ritz value crossing ``lam`` changes
     the width of ``p`` and so the gap by at least 1.  Returns
-    ``(q, converged)``.  A rank-deficient step keeps the narrower basis of
-    its numerical range, so ``q`` can have fewer columns than the warm start
-    (none when ``z @ r0`` vanishes).  Non-finite products raise
-    ``LinAlgError``.  ``z`` is a dense matrix or anything with ``@`` and
-    ``.T``, such as a :class:`SparsePlusLowRank`.
+    ``(q, converged, y)``, where ``y == z.T @ q`` is the last step's product.
+    A rank-deficient step keeps the narrower basis of its numerical range,
+    so ``q`` can have fewer columns than the warm start (none when
+    ``z @ r0`` vanishes).  Non-finite products raise ``LinAlgError``.  ``z``
+    is a dense matrix or anything with ``@`` and ``.T``, such as a
+    :class:`SparsePlusLowRank`.
     """
     z = _operand(z)
     r0 = np.asarray(r0, dtype=float)
@@ -167,12 +168,13 @@ def power_method(z, r0: np.ndarray, delta: float, max_iters: int = 100,
         raise ValueError("warm start must be a D x k matrix with k >= 1")
     if r0.shape[1] > z.shape[0]:
         raise ValueError("warm-start width exceeds the row dimension")
+    y = r0
     prev_p = None
     converged = False
     # an overflow leaves non-finite values, which raise LinAlgError below
     with np.errstate(over="ignore", invalid="ignore"):
-        w = z @ r0
         for _ in range(max(max_iters, 1)):
+            w = z @ y
             _require_finite(w)
             q = qr_orthonormalize(w)
             y = z.T @ q
@@ -186,9 +188,8 @@ def power_method(z, r0: np.ndarray, delta: float, max_iters: int = 100,
             if prev_p is not None and _subspace_gap(p, prev_p) <= delta:
                 converged = True
                 break
-            w = z @ y
             prev_p = p
-    return q, converged
+    return q, converged, y
 
 
 def _require_finite(m: np.ndarray) -> None:
@@ -207,11 +208,12 @@ def approx_svt(z, r0: np.ndarray, lam: float, delta: float,
     ``delta``.  With a warm start spanning the surviving subspace the result
     matches :func:`svt_exact`; at most ``r0.shape[1]`` singular values
     survive.  Ties ``sigma_i == lam`` are excluded, matching the zero shift
-    there.  ``z`` may be an operator, as for :func:`power_method`.
+    there.  ``z`` may be an operator, as for :func:`power_method`.  The
+    small SVD is taken of ``Q^T Z``, the power method's last product ``y``
+    transposed, so Z is applied only inside the power method.
     """
-    z = _operand(z)
-    q, converged = power_method(z, r0, delta, max_iters=max_iters, lam=lam)
-    u_small, s, vt = np.linalg.svd((z.T @ q).T, full_matrices=False)
+    q, converged, y = power_method(z, r0, delta, max_iters=max_iters, lam=lam)
+    u_small, s, vt = np.linalg.svd(y.T, full_matrices=False)
     keep = s > lam
     return ThinFactors((q @ u_small)[:, keep], s[keep] - lam, vt[keep].T), converged
 

@@ -261,13 +261,7 @@ def solver_loss_terms(loss: LipschitzLoss, smoothing: float = 1e-2):
     Hinge has no Lipschitz gradient, so the proximal solvers reject it.
     """
     if loss.kind == "logistic":
-        def value(y, x):
-            return np.logaddexp(0.0, -y * x)
-
-        def grad(y, x):
-            return -y * expit(-y * x)
-
-        return value, grad
+        return partial(_loss, loss), partial(_loss_subgrad, loss)
     if loss.kind == "quantile":
         tau, m = loss.tau, float(smoothing)
         if m <= 0:

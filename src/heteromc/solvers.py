@@ -14,9 +14,10 @@ set near the true constant; :func:`tight_lipschitz` computes it and the
 benchmark harness uses it everywhere.
 
 The inexact solver keeps every iterate as thin factors and evaluates the
-data term on Omega from them.  Its SVT input Z = q - grad(q) / L is either
-built as a dense matrix or, on sparsely observed data, applied as the
-operator "low rank + sparse on Omega"
+data term on Omega from them.  Its SVT input Z = X - grad(X) / L, at the
+extrapolated point X, takes the gradient from X's entries on Omega and is
+either built as a dense matrix or, on sparsely observed data, applied as
+the operator "low rank + sparse on Omega"
 (:class:`~heteromc.lowrank.SparsePlusLowRank`), so no d_u x D array is
 formed there and memory stays O(nnz + (d_u + D) r).
 :data:`DENSE_Z_MIN_DENSITY` chooses between the two.  The exact-SVT
@@ -344,22 +345,15 @@ def apg_solve(obs: ObservationSet, cfg: SolverConfig | None = None) -> FitResult
 
 def _warm_basis(v_cur: np.ndarray, v_prev: np.ndarray,
                 drop_tol: float = 1e-10) -> np.ndarray:
-    """Project the previous right basis against the current one and merge.
+    """Orthonormal basis of the span of the current and previous right bases.
 
-    Residual directions whose norm falls below ``drop_tol`` carry no usable
-    warm-start information and are filtered out.
+    The current columns come first, so truncation to D columns keeps them,
+    and the R diagonal on each previous column is the norm of its residual
+    against the columns before it; residual directions whose norm falls
+    below ``drop_tol`` carry no usable warm-start information and are
+    dropped.
     """
-    if v_cur.shape[1] == 0:
-        stack = v_prev
-    elif v_prev.shape[1] == 0:
-        stack = v_cur
-    else:
-        resid = v_prev - v_cur @ (v_cur.T @ v_prev)
-        stack = np.hstack([v_cur, resid])
-    if stack.shape[1] == 0:
-        return stack
-    # current-iterate columns come first, so truncation keeps them
-    return qr_orthonormalize(stack[:, :stack.shape[0]], drop_tol)
+    return qr_orthonormalize(np.hstack([v_cur, v_prev])[:, :v_cur.shape[0]], drop_tol)
 
 
 def _extrapolate(cur: ThinFactors, prev: ThinFactors, theta: float):
@@ -378,19 +372,22 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     The per-iteration weight decays as nu^t (lam0 - lam) + lam from
     lam0 = lipschitz * sigma_1(Y) down to the target lam, so the SVT
     threshold sweeps from sigma_1(Y) to lam/lipschitz.  The approximate SVT
-    is warm-started from the right bases of the last two iterates (padded to
-    ``init_rank`` on the first iteration and by ``warm_slack`` random
-    columns throughout).  The momentum counter resets whenever the objective
-    at the target weight increases; iterations stop when its change falls
-    within ``epsilon``.
+    is warm-started from the span of the right bases of the last two
+    iterates, padded with random columns to ``init_rank`` on the first
+    iteration and by ``warm_slack`` columns throughout.  The extrapolation
+    weight is theta = (c - 1) / (c + 2) with ``momentum`` and 0 without;
+    the counter c resets whenever the objective at the target weight
+    increases.  Iterations stop when that objective's change falls within
+    ``epsilon``.
 
     Iterates are thin factors, and the data term is evaluated on Omega
-    from them; the extrapolated point's entries there are
-    (1 + theta) eta_t - theta eta_{t-1} from the cached entries of the last
-    two iterates.  Z is dense when the observed fraction exceeds
-    :data:`DENSE_Z_MIN_DENSITY` and an operator otherwise; both give the same
-    iterates up to rounding.  ``flags`` gains ``"power_not_converged"`` when
-    any power method stopped at its iteration cap.
+    from them.  The gradient at the extrapolated point is taken from its
+    entries on Omega, (1 + theta) eta_t - theta eta_{t-1}, computed from the
+    cached entries of the last two iterates.  Z is dense when the observed
+    fraction exceeds :data:`DENSE_Z_MIN_DENSITY` and an operator otherwise;
+    that choice sets only Z's storage, and both give the same iterates up
+    to rounding.  ``flags`` gains ``"power_not_converged"`` when any power
+    method stopped at its iteration cap.
 
     ``iter_callback(t, lam_t, rank, objective)`` is invoked once per
     iteration when given.
@@ -425,14 +422,13 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     for t in range(1, cfg.max_iters + 1):
         delta_t = cfg.nu**t * delta0
         lam_t = cfg.nu**t * (lam0 - lam) + lam
-        theta = (c - 1.0) / (c + 2.0)
+        theta = (c - 1.0) / (c + 2.0) if cfg.momentum else 0.0
         a, b = _extrapolate(factors, factors_prev, theta)
+        eta_x = (1.0 + theta) * eta - theta * eta_prev
         if dense_z:
-            q = a @ b.T
-            z = q - grad(q) / big_l
+            z = a @ b.T - grad(eta_x) / big_l
         else:
-            g = term.grad_on_omega((1.0 + theta) * eta - theta * eta_prev)
-            z = SparsePlusLowRank(a, b, obs.to_csr(-g / big_l))
+            z = SparsePlusLowRank(a, b, obs.to_csr(-term.grad_on_omega(eta_x) / big_l))
         basis = _warm_basis(factors.v, factors_prev.v, cfg.basis_drop)
         if t == 1 and cfg.init_rank is not None:
             basis = _refill(basis, min(cfg.init_rank, width_cap),

@@ -239,3 +239,20 @@ def test_fit_numerical_failure_exit_code(tmp_path):
                  "--lambda", "1e-9", "--config", solver_cfg,
                  "--out", str(tmp_path / "fit_diverge")])
     assert code == EXIT_NUMERIC
+
+
+def test_fit_domain_error_exit_code(tmp_path, monkeypatch, capsys):
+    from heteromc import cli
+    from heteromc.cli import EXIT_NUMERIC
+    from heteromc.families import DomainError
+    out = generate(tmp_path)
+
+    def out_of_domain(*args, **kwargs):
+        raise DomainError("gamma natural parameter must be strictly negative")
+
+    monkeypatch.setattr(cli, "plais_impute", out_of_domain)
+    code = main(["fit", "--obs", str(out / "obs.csv"),
+                 "--layout", str(out / "layout.json"),
+                 "--out", str(tmp_path / "fit_domain")])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numerical failure: gamma")

@@ -269,3 +269,16 @@ def test_mask_sample_per_entry_table():
     counts = obs.source_counts()
     assert counts[0] > 0.8 * 200 * 100
     assert counts[1] < 0.2 * 200 * 100
+
+
+def test_uniform_sampling_draws_like_a_constant_table_without_building_one(monkeypatch):
+    full = full_matrix(30, (20, 17), seed=4)
+    table = mask_sample(full, SamplingScheme.per_entry(np.full((30, 37), 0.3)), 9)
+
+    def no_table(self, layout):
+        raise AssertionError("built a d_u x D probability table")
+
+    monkeypatch.setattr(SamplingScheme, "prob_matrix", no_table)
+    uniform = mask_sample(full, SamplingScheme.uniform(0.3), 9)
+    for name in ("v", "i", "j", "y"):
+        assert np.array_equal(getattr(uniform, name), getattr(table, name))

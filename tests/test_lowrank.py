@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from heteromc import (
     ThinFactors,
@@ -12,6 +13,7 @@ from heteromc import (
     rank1_svd,
     svt_exact,
 )
+from heteromc.lowrank import SparsePlusLowRank, _refill
 
 
 def random_low_rank(d, n, rank, rng, spectrum=None):
@@ -86,7 +88,7 @@ def test_qr_orthonormalize_basics(rng):
 def test_power_method_exact_rank(rng):
     z, _ = random_low_rank(20, 15, 4, rng)
     delta = 1e-8
-    q, converged = power_method(z, rng.normal(size=(15, 4)), delta)
+    q, converged, _ = power_method(z, rng.normal(size=(15, 4)), delta)
     assert converged
     assert np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-10)
     resid = np.linalg.norm(z - q @ (q.T @ z))
@@ -100,14 +102,14 @@ def test_power_method_rank_one(rng):
     v /= np.linalg.norm(v)
     z = 4.0 * np.outer(u, v)
     delta = 1e-9
-    q, converged = power_method(z, rng.normal(size=(9, 1)), delta)
+    q, converged, _ = power_method(z, rng.normal(size=(9, 1)), delta)
     assert converged
     assert abs(float(q[:, 0] @ u)) >= 1 - 10 * delta
 
 
 def test_power_method_huge_delta_one_iteration(rng):
     z = rng.normal(size=(8, 6))
-    q, converged = power_method(z, rng.normal(size=(6, 3)), delta=1e3)
+    q, converged, _ = power_method(z, rng.normal(size=(6, 3)), delta=1e3)
     assert converged
     assert np.allclose(q.T @ q, np.eye(3), atol=1e-10)
 
@@ -181,8 +183,8 @@ def test_power_method_iteration_cap_flag(rng):
     spectrum = np.array([10.0, 9.999, 9.998, 9.997])
     z, _ = random_low_rank(30, 25, 4, rng, spectrum)
     z += 0.5 * rng.normal(size=z.shape)
-    q, converged = power_method(z, rng.normal(size=(25, 2)), delta=1e-14,
-                                max_iters=2)
+    q, converged, _ = power_method(z, rng.normal(size=(25, 2)), delta=1e-14,
+                                   max_iters=2)
     assert not converged
     assert np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-10)
 
@@ -207,7 +209,7 @@ def test_power_method_converges_on_a_warm_start_wider_than_the_rank(rng):
     # rank-1 z, 2-column warm start: the dependent column is dropped, not
     # replaced, so the basis settles at width 1
     z = np.outer(rng.normal(size=6), rng.normal(size=5))
-    q, converged = power_method(z, rng.normal(size=(5, 2)), delta=1e-8)
+    q, converged, _ = power_method(z, rng.normal(size=(5, 2)), delta=1e-8)
     assert converged
     assert q.shape == (6, 1)
     assert np.linalg.norm(z - q @ (q.T @ z)) <= 1e-8 * np.linalg.norm(z)
@@ -233,7 +235,7 @@ def test_ritz_stop_ignores_a_clustered_tail_below_the_threshold(rng):
     exact = svt_exact(z, lam)
     assert out.rank == exact.rank == 3
     assert np.linalg.norm(out.to_matrix() - exact.to_matrix()) < 1e-6
-    _, converged = power_method(z, r0, delta=1e-8, max_iters=8, lam=0.0)
+    _, converged, _ = power_method(z, r0, delta=1e-8, max_iters=8, lam=0.0)
     assert not converged
 
 
@@ -248,3 +250,71 @@ def test_a_ritz_value_crossing_the_threshold_is_not_convergence():
     # grows from width 0 to width 1, a gap of at least 1
     assert not power_method(z, r0, delta=0.9, max_iters=2, lam=1.005)[1]
     assert power_method(z, r0, delta=0.9, max_iters=3, lam=1.005)[1]
+
+
+@pytest.mark.parametrize("delta, max_iters", [(1e-8, 100), (1e-14, 2)])
+def test_power_method_returns_its_last_product(rng, delta, max_iters):
+    z = rng.normal(size=(20, 15))
+    q, _, y = power_method(z, rng.normal(size=(15, 4)), delta, max_iters=max_iters)
+    assert y.shape == (15, q.shape[1])
+    assert np.allclose(y, z.T @ q, rtol=0, atol=1e-12)
+
+
+class CountingOperator(SparsePlusLowRank):
+    """A SparsePlusLowRank that counts its products, its transpose's included."""
+
+    def __init__(self, a, b, s, calls=None):
+        super().__init__(a, b, s)
+        self.calls = calls if calls is not None else [0]
+
+    def __matmul__(self, x):
+        self.calls[0] += 1
+        return super().__matmul__(x)
+
+    @property
+    def T(self):
+        return CountingOperator(self.b, self.a, self.s.T, self.calls)
+
+
+@pytest.mark.parametrize("delta, max_iters, steps", [
+    (1e-14, 1, 1),  # stopped at the cap
+    (1e-14, 3, 3),
+    (1e3, 100, 2),  # converged at the first step that has a gap to test
+])
+def test_approx_svt_applies_z_only_inside_the_power_method(rng, delta, max_iters, steps):
+    a, b = rng.normal(size=(20, 6)), rng.normal(size=(15, 6))
+    op = CountingOperator(a, b, sparse.csr_matrix((20, 15)))
+    r0 = rng.normal(size=(15, 3))
+    out, converged = approx_svt(op, r0, lam=0.5, delta=delta, max_iters=max_iters)
+    # one z @ y and one z.T @ q per power step, nothing after the last
+    assert op.calls[0] == 2 * steps
+    assert converged == (delta > 1)
+    dense, _ = approx_svt(a @ b.T, r0, lam=0.5, delta=delta, max_iters=max_iters)
+    assert np.allclose(out.to_matrix(), dense.to_matrix(), atol=1e-10)
+
+
+def orthonormal_refill(q, width, rng):
+    """Reference padding: random columns orthonormalized against ``q``."""
+    width = max(width, 1)
+    while q.shape[1] < width:
+        extra = rng.standard_normal((q.shape[0], width - q.shape[1]))
+        if q.shape[1]:
+            extra -= q @ (q.T @ extra)
+        extra = qr_orthonormalize(extra)
+        if extra.shape[1] == 0:
+            raise np.linalg.LinAlgError("cannot refill a degenerate basis")
+        q = np.hstack([q, extra]) if q.shape[1] else extra
+    return q
+
+
+@pytest.mark.parametrize("d, k, width", [(12, 0, 0), (12, 0, 4), (12, 3, 7), (12, 3, 2),
+                                         (5, 2, 5), (300, 20, 45)])
+def test_refill_spans_the_orthonormal_padding(d, k, width):
+    q = qr_orthonormalize(np.random.default_rng(1).normal(size=(d, k)))
+    out = _refill(q, width, np.random.default_rng(7))
+    ref = orthonormal_refill(q, width, np.random.default_rng(7))
+    assert out.shape == ref.shape == (d, max(width, 1, k))
+    assert np.array_equal(out[:, :k], q)
+    span = qr_orthonormalize(out)
+    assert span.shape == out.shape
+    assert np.linalg.norm(span @ span.T - ref @ ref.T) <= 1e-10

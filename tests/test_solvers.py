@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -405,3 +406,18 @@ def test_plais_flags_a_power_method_at_its_cap(monkeypatch):
     monkeypatch.setattr(solvers, "approx_svt",
                         lambda *args: capped(*args, max_iters=1))
     assert plais_impute(obs, cfg).flags.count("power_not_converged") == 1
+
+
+def test_plais_without_momentum_never_extrapolates(monkeypatch):
+    obs, cfg = _sparse_fit_setup("likelihood")
+    thetas = []
+    extrapolate = solvers._extrapolate
+
+    def spy(cur, prev, theta):
+        thetas.append(theta)
+        return extrapolate(cur, prev, theta)
+
+    monkeypatch.setattr(solvers, "_extrapolate", spy)
+    fit = plais_impute(obs, replace(cfg, momentum=False))
+    assert fit.terminated_by == "tolerance"
+    assert thetas and set(thetas) == {0.0}
