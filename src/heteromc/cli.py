@@ -3,7 +3,8 @@
 Every command takes a JSON config file plus a few direct overrides; all
 randomness flows from the single seed field.  Exit codes: 0 success,
 2 config error, 3 data error, 4 numerical failure, 5 stopped on the
-iteration cap.
+iteration cap.  :func:`main` maps exceptions to these codes; a bad config
+value surfaces as a ``KeyError``, ``TypeError`` or ``ValueError``.
 """
 
 from __future__ import annotations
@@ -48,11 +49,14 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: the config must be a JSON object")
+    return cfg
 
 
 def _families_from(cfg: dict, d_vs) -> tuple[ExpFamilyModel, ...]:
@@ -74,10 +78,7 @@ def _solver_config(cfg: dict, args) -> SolverConfig:
     if overrides:
         from dataclasses import replace
         sc = replace(sc, **overrides)
-    try:
-        sc.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    sc.validate()
     return sc
 
 
@@ -95,10 +96,7 @@ def _experiment_spec(cfg: dict, args) -> ExperimentSpec:
         cfg["p_grid"] = [args.p]
     if not cfg.get("p_grid"):
         raise ConfigError("p_grid must be a nonempty list of probabilities")
-    try:
-        spec = ExperimentSpec.from_dict(cfg)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid experiment config: {exc}") from exc
+    spec = ExperimentSpec.from_dict(cfg)
     solver = _solver_config(cfg, args)
     from dataclasses import replace
     return replace(spec, solver=solver)
@@ -123,18 +121,15 @@ def cmd_generate(args) -> int:
     p = args.p if args.p is not None else cfg.get("p")
     if p is None:
         raise ConfigError("a sampling probability p is required")
-    try:
-        syn = SyntheticConfig(
-            d_u=int(cfg["d_u"]),
-            d_vs=tuple(cfg["d_vs"]),
-            ranks=tuple(cfg["ranks"]),
-            factor_laws=tuple(cfg.get("factor_laws", ["gaussian"] * len(cfg["d_vs"]))),
-            gamma=cfg.get("gamma", 1.0),
-            seed=seed,
-            shared_factors=cfg.get("shared_factors", False),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid generate config: {exc}") from exc
+    syn = SyntheticConfig(
+        d_u=int(cfg["d_u"]),
+        d_vs=tuple(cfg["d_vs"]),
+        ranks=tuple(cfg["ranks"]),
+        factor_laws=tuple(cfg.get("factor_laws", ["gaussian"] * len(cfg["d_vs"]))),
+        gamma=cfg.get("gamma", 1.0),
+        seed=seed,
+        shared_factors=cfg.get("shared_factors", False),
+    )
     families = _families_from(cfg, syn.d_vs)
     truth = generate_synthetic(syn)
     obs = mask_sample(truth, SamplingScheme.uniform(float(p)),
@@ -221,11 +216,7 @@ def cmd_bounds(args) -> int:
     params = cfg.get("params")
     if params is None:
         raise ConfigError("bounds needs a 'params' object")
-    try:
-        value = theory_bound(kind, params)
-    except KeyError as exc:
-        raise ConfigError(f"missing bound parameter {exc}") from exc
-    doc = {"kind": kind, "value": value}
+    doc = {"kind": kind, "value": theory_bound(kind, params)}
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -294,17 +285,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the data and numerical errors are ValueErrors, so they go first
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (hio.DataFormatError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (NumericalError, np.linalg.LinAlgError, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (hio.DataFormatError, FileNotFoundError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"config error: {detail}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

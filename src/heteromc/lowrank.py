@@ -2,10 +2,11 @@
 
 The approximate path follows the warm-started subspace (power) iteration:
 once an orthonormal basis Q captures the top left singular subspace of Z,
-thresholding the small matrix Q^T Z reproduces the thresholding of Z itself.
-Only the singular directions above the threshold survive that step, so the
-iteration stops once the Rayleigh-Ritz subspace above the threshold has
-settled, whatever the rest of Q still does.
+thresholding the small matrix Q^T Z, whose SVD each power step takes as
+Rayleigh-Ritz pairs, reproduces the thresholding of Z itself.  Only the
+singular directions above the threshold survive that step, so the
+iteration stops once the Ritz subspace above the threshold has settled,
+whatever the rest of Q still does.
 That path touches Z only through the products ``z @ x`` and ``z.T @ y``, so
 Z may be a dense array or a :class:`SparsePlusLowRank` operator, which a
 solver on sparsely observed data uses to never form a d_u x D matrix.
@@ -148,19 +149,20 @@ def power_method(z, r0: np.ndarray, delta: float, max_iters: int = 100,
     Only the span of the warm start ``r0`` matters; its columns need not be
     orthonormal.  Each step orthonormalizes ``w = z @ y`` (``y = r0`` at
     first) into ``q``, forms ``y = z.T @ q`` and the Rayleigh-Ritz pairs of
-    the k x k Gram ``y.T @ y``; the Ritz vectors whose singular value
-    estimate exceeds ``lam`` span ``p = q @ vec[:, keep]``, the part of the
-    basis that survives a threshold at ``lam``.  The iteration stops when
-    consecutive ``p`` differ by at most ``delta`` in projector Frobenius
-    norm, so a tail below ``lam`` that is still moving does not hold it up;
-    ``lam = 0`` tests the whole basis.  A Ritz value crossing ``lam`` changes
-    the width of ``p`` and so the gap by at least 1.  Returns
-    ``(q, converged, y)``, where ``y == z.T @ q`` is the last step's product.
-    A rank-deficient step keeps the narrower basis of its numerical range,
-    so ``q`` can have fewer columns than the warm start (none when
-    ``z @ r0`` vanishes).  Non-finite products raise ``LinAlgError``.  ``z``
-    is a dense matrix or anything with ``@`` and ``.T``, such as a
-    :class:`SparsePlusLowRank`.
+    ``Q^T Z`` by one ``eigh`` of the k x k Gram ``y.T @ y``; the Ritz
+    vectors whose singular value estimate exceeds ``lam``, in descending
+    order, span ``p = q @ vec``, the part of the basis that survives a
+    threshold at ``lam``.  The iteration stops when consecutive ``p`` differ
+    by at most ``delta`` in projector Frobenius norm, so a tail below
+    ``lam`` that is still moving does not hold it up; ``lam = 0`` tests the
+    whole basis.  A Ritz value crossing ``lam`` changes the width of ``p``
+    and so the gap by at least 1.  Returns the last step's ``(p, converged,
+    y @ vec)``: ``y @ vec == z.T @ p`` has orthogonal columns whose norms
+    are the Ritz values.  A rank-deficient step keeps the narrower basis of
+    its numerical range, so ``p`` can have fewer columns than the warm start
+    (none when ``z @ r0`` vanishes).  Non-finite products raise
+    ``LinAlgError``.  ``z`` is a dense matrix or anything with ``@`` and
+    ``.T``, such as a :class:`SparsePlusLowRank`.
     """
     z = _operand(z)
     r0 = np.asarray(r0, dtype=float)
@@ -184,12 +186,13 @@ def power_method(z, r0: np.ndarray, delta: float, max_iters: int = 100,
             # the Gram's eigenvalues are the squared Ritz values, the squared
             # singular values of Q^T Z that approx_svt thresholds at lam
             ritz_sq, vec = np.linalg.eigh(gram)
-            p = q @ vec[:, ritz_sq > lam * lam]
+            vec = vec[:, ritz_sq > lam * lam][:, ::-1]
+            p = q @ vec
             if prev_p is not None and _subspace_gap(p, prev_p) <= delta:
                 converged = True
                 break
             prev_p = p
-    return q, converged, y
+    return p, converged, y @ vec
 
 
 def _require_finite(m: np.ndarray) -> None:
@@ -199,23 +202,24 @@ def _require_finite(m: np.ndarray) -> None:
 
 def approx_svt(z, r0: np.ndarray, lam: float, delta: float,
                max_iters: int = 100) -> tuple[ThinFactors, bool]:
-    """Approximate SVT: power-method basis, then exact SVT of the small Q^T Z.
+    """Approximate SVT: the threshold step on the power method's Ritz pairs.
 
-    The power method stops on the subspace above ``lam`` (see
-    :func:`power_method`), the only part of Q that reaches the result.
+    The power method stops on the subspace above ``lam`` and hands over its
+    last Rayleigh-Ritz pairs (see :func:`power_method`), the SVD of the
+    small ``Q^T Z``.  Each singular value is a column norm of ``y = Z^T p``,
+    not the root of a Gram eigenvalue, which would square the conditioning.
     Returns ``(factors, converged)``, where ``converged`` is the power
     method's: false when it stopped at ``max_iters`` with the gap above
     ``delta``.  With a warm start spanning the surviving subspace the result
     matches :func:`svt_exact`; at most ``r0.shape[1]`` singular values
     survive.  Ties ``sigma_i == lam`` are excluded, matching the zero shift
-    there.  ``z`` may be an operator, as for :func:`power_method`.  The
-    small SVD is taken of ``Q^T Z``, the power method's last product ``y``
-    transposed, so Z is applied only inside the power method.
+    there.  ``z`` may be an operator, as for :func:`power_method`, and is
+    applied only inside it.
     """
-    q, converged, y = power_method(z, r0, delta, max_iters=max_iters, lam=lam)
-    u_small, s, vt = np.linalg.svd(y.T, full_matrices=False)
-    keep = s > lam
-    return ThinFactors((q @ u_small)[:, keep], s[keep] - lam, vt[keep].T), converged
+    p, converged, y = power_method(z, r0, delta, max_iters=max_iters, lam=lam)
+    sigma = np.linalg.norm(y, axis=0)
+    keep = sigma > lam
+    return ThinFactors(p[:, keep], sigma[keep] - lam, y[:, keep] / sigma[keep]), converged
 
 
 def rank1_svd(y, tol: float = 1e-10, max_iters: int = 1000) -> tuple[np.ndarray, float, np.ndarray]:

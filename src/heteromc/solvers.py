@@ -104,8 +104,8 @@ class SolverConfig:
             raise ValueError("nu must lie in (0, 1)")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if self.max_iters < 1 or self.max_iters != int(self.max_iters):
+            raise ValueError("max_iters must be an integer >= 1")
         if self.lipschitz <= 0:
             raise ValueError("lipschitz must be positive")
         if self.lam != "auto" and float(self.lam) < 0:
@@ -168,9 +168,12 @@ def config_to_dict(cfg: SolverConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> SolverConfig:
-    """Inverse of :func:`config_to_dict`; a missing key takes the field default."""
-    kwargs = {f.name: d[key] for f in fields(SolverConfig)
-              if (key := _CONFIG_KEYS.get(f.name, f.name)) in d}
+    """Inverse of :func:`config_to_dict`; a missing key takes the field
+    default, and a key that is not a field's JSON key raises ``ValueError``."""
+    names = {_CONFIG_KEYS.get(f.name, f.name): f.name for f in fields(SolverConfig)}
+    if unknown := sorted(set(d) - set(names)):
+        raise ValueError(f"unknown solver key(s): {', '.join(map(repr, unknown))}")
+    kwargs = {names[key]: value for key, value in d.items()}
     if kwargs.get("losses") is not None:
         kwargs["losses"] = tuple(LipschitzLoss(**l) for l in kwargs["losses"])
     return SolverConfig(**kwargs)

@@ -256,3 +256,33 @@ def test_fit_domain_error_exit_code(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "fit_domain")])
     assert code == EXIT_NUMERIC
     assert capsys.readouterr().err.startswith("numerical failure: gamma")
+
+
+FIT_ARGS = ["fit", "--obs", "{gen}/obs.csv", "--layout", "{gen}/layout.json"]
+COLD_CFG = {"d_u": 20, "d_vs": [8, 8], "ranks": [1, 1], "p_grid": [0.5],
+            "trials": 1, "seed": 1}
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (FIT_ARGS, {"solver": {"nu": "abc"}}),
+    (FIT_ARGS, {"solver": {"max_iters": 2.5}}),
+    (FIT_ARGS, {"solver": {"lam": 0.1}}),  # the JSON key is "lambda"
+    (FIT_ARGS, {"solver": {"mode": "general_loss", "losses": [{"kind": "nope"}]}}),
+    (FIT_ARGS, [{"solver": {}}]),
+    (["generate"], {**GEN_CFG, "p": "x"}),
+    (["generate"], {**GEN_CFG, "seed": "a"}),
+    (["generate"], {**GEN_CFG, "p": 1.5}),
+    (["generate"], {**GEN_CFG, "families": [{"family": "gaussian", "nuisance": 1.0}]}),
+    (["coldstart"], {**COLD_CFG, "target_v": 2}),
+    (["bounds"], {"kind": "nope", "params": {"rank": 5, "p": 0.5, "d_u": 300,
+                                             "D": 300, "mu": 600}}),
+], ids=["nu-str", "max-iters-float", "solver-key-typo", "loss-kind", "json-array",
+        "p-str", "seed-str", "p-above-1", "one-family-two-sources", "target-v-outside",
+        "bound-kind"])
+def test_bad_config_is_a_config_error(tmp_path, capsys, argv, cfg):
+    gen = generate(tmp_path) if argv is FIT_ARGS else None
+    argv = [a.format(gen=gen) for a in argv]
+    code = main([*argv, "--config", write_cfg(tmp_path, "bad.json", cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines()[-1].startswith("config error:")

@@ -255,9 +255,20 @@ def test_a_ritz_value_crossing_the_threshold_is_not_convergence():
 @pytest.mark.parametrize("delta, max_iters", [(1e-8, 100), (1e-14, 2)])
 def test_power_method_returns_its_last_product(rng, delta, max_iters):
     z = rng.normal(size=(20, 15))
-    q, _, y = power_method(z, rng.normal(size=(15, 4)), delta, max_iters=max_iters)
-    assert y.shape == (15, q.shape[1])
-    assert np.allclose(y, z.T @ q, rtol=0, atol=1e-12)
+    r0 = rng.normal(size=(15, 4))
+    s = np.linalg.svd(z, compute_uv=False)
+    # a Ritz value never exceeds its singular value, so at most two of them
+    # lie above a threshold between s[1] and s[2]
+    for lam, width in ((0.0, 4), ((s[1] + s[2]) / 2, 2)):
+        q, converged, y = power_method(z, r0, delta, max_iters=max_iters, lam=lam)
+        assert y.shape == (15, q.shape[1])
+        assert np.allclose(y, z.T @ q, rtol=0, atol=1e-12)
+        assert q.shape[1] <= width and (q.shape[1] == width or not converged)
+        # q is the Ritz basis above lam: y's columns are orthogonal, with
+        # norms (the Ritz values) above lam and descending
+        norms = np.linalg.norm(y, axis=0)
+        assert np.allclose(y.T @ y, np.diag(norms**2), rtol=0, atol=1e-10)
+        assert np.all(norms > lam) and np.all(np.diff(norms) < 0)
 
 
 class CountingOperator(SparsePlusLowRank):
@@ -291,6 +302,46 @@ def test_approx_svt_applies_z_only_inside_the_power_method(rng, delta, max_iters
     assert converged == (delta > 1)
     dense, _ = approx_svt(a @ b.T, r0, lam=0.5, delta=delta, max_iters=max_iters)
     assert np.allclose(out.to_matrix(), dense.to_matrix(), atol=1e-10)
+
+
+@pytest.mark.parametrize("structured", [False, True])
+def test_approx_svt_takes_its_factors_from_the_ritz_pairs(rng, monkeypatch, structured):
+    # singular values from 1e4 down to 1, threshold between the last two
+    m, n = 50, 40
+    spectrum = np.logspace(4, 0, 12)
+    u = np.linalg.qr(rng.normal(size=(m, 12)))[0]
+    v = np.linalg.qr(rng.normal(size=(n, 12)))[0]
+    z = (u * spectrum) @ v.T
+    lam = 1.5
+    exact = svt_exact(z, lam)
+    form = z
+    if structured:  # the two smallest directions in the sparse part
+        form = CountingOperator(u[:, :10] * spectrum[:10], v[:, :10],
+                                sparse.csr_matrix((u[:, 10:] * spectrum[10:]) @ v[:, 10:].T))
+    calls = {"eigh": 0, "svd": 0, "qr": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    out, converged = approx_svt(form, rng.normal(size=(n, 15)), lam, delta=1e-10)
+    monkeypatch.undo()
+    assert converged and out.rank == exact.rank == 11
+    ref = exact.to_matrix()
+    assert np.linalg.norm(out.to_matrix() - ref) <= 1e-8 * np.linalg.norm(ref)
+    assert np.allclose(out.u.T @ out.u, np.eye(11), rtol=0, atol=1e-10)
+    assert np.allclose(out.v.T @ out.v, np.eye(11), rtol=0, atol=1e-10)
+    assert np.all(np.diff(out.sigma) < 0)
+    # one QR and one eigh per power step, and no SVD
+    assert calls["svd"] == 0 and calls["eigh"] == calls["qr"] > 1
+    if structured:
+        assert form.calls[0] == 2 * calls["eigh"]
 
 
 def orthonormal_refill(q, width, rng):

@@ -17,6 +17,7 @@ from heteromc import (
     lambda_heuristic,
     mask_sample,
     objective_value,
+    observe_from_model,
     pg_step,
     plais_impute,
     rank1_svd,
@@ -326,6 +327,9 @@ def test_partial_solver_dict_takes_field_defaults():
     d = {"lambda": 2.5e-5, "lipschitz": 1.6e-7, "init_rank": 25, "basis_drop": 1e-3}
     assert config_from_dict(d) == SolverConfig(lam=2.5e-5, lipschitz=1.6e-7,
                                                init_rank=25, basis_drop=1e-3)
+    # "lam" is the field name, not its JSON key: a typo is named, not ignored
+    with pytest.raises(ValueError, match="'lam'"):
+        config_from_dict({"lam": 0.1, "nu": 0.5})
 
 
 def test_lambda_calibration_sweep():
@@ -361,8 +365,14 @@ def test_plais_mixed_family_likelihood():
 
 
 def _sparse_fit_setup(mode):
-    obs, _ = gaussian_instance(d_u=60, d_vs=(30, 30), ranks=(3, 2), seed=21, p=0.15)
-    if mode == "likelihood":
+    if mode == "curved":  # sup G'' = 4, so the step constant is not 1 / (d_u D)
+        syn = SyntheticConfig(60, (30, 30), (3, 2), ("gaussian",) * 2, seed=21)
+        fams = (ExpFamilyModel("gaussian", 4.0), ExpFamilyModel("binomial", 10))
+        obs = observe_from_model(generate_synthetic(syn), fams,
+                                 SamplingScheme.uniform(0.15), 22)
+    else:
+        obs, _ = gaussian_instance(d_u=60, d_vs=(30, 30), ranks=(3, 2), seed=21, p=0.15)
+    if mode in ("likelihood", "curved"):
         lip = tight_lipschitz(obs)
         return obs, SolverConfig(lam=data_scale_lambda(obs, lip), lipschitz=lip,
                                  init_rank=10)
@@ -372,9 +382,11 @@ def _sparse_fit_setup(mode):
                              lam=data_scale_lambda(obs, lip), lipschitz=lip, init_rank=10)
 
 
-@pytest.mark.parametrize("mode", ["likelihood", "general_loss"])
+@pytest.mark.parametrize("mode", ["likelihood", "general_loss", "curved"])
 def test_plais_dense_and_structured_z_give_the_same_fit(monkeypatch, mode):
     obs, cfg = _sparse_fit_setup(mode)
+    if mode == "curved":
+        assert cfg.lipschitz == pytest.approx(4.0 / (obs.layout.d_u * obs.layout.D))
     fits = []
     for crossover in (0.0, 1.0):  # every instance dense, then none
         monkeypatch.setattr(solvers, "DENSE_Z_MIN_DENSITY", crossover)
