@@ -132,6 +132,11 @@ class ExperimentSpec:
         return out
 
     @classmethod
+    def keys(cls) -> frozenset[str]:
+        """The top-level JSON keys :meth:`from_dict` reads."""
+        return frozenset(_SPEC_KEYS.get(f.name, f.name) for f in fields(cls))
+
+    @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         """Inverse of :meth:`to_dict`; a missing key takes the field default,
         and missing factor laws default to gaussian."""

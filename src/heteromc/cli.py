@@ -59,6 +59,14 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _check_keys(cfg: dict, known=()) -> None:
+    """Reject top-level config keys that neither ``known`` nor the CLI reads."""
+    read_by_cli = {"solver", "seed", "p", "families", "bound_params", "target_v",
+                   "obs", "layout", "kind", "params"}
+    if unknown := sorted(set(cfg) - read_by_cli - set(known)):
+        raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
+
+
 def _families_from(cfg: dict, d_vs) -> tuple[ExpFamilyModel, ...]:
     fams = cfg.get("families")
     if fams is None:
@@ -90,6 +98,7 @@ def _require_seed(cfg: dict, args) -> int:
 
 
 def _experiment_spec(cfg: dict, args) -> ExperimentSpec:
+    _check_keys(cfg, ExperimentSpec.keys())
     cfg = dict(cfg)
     cfg["seed"] = _require_seed(cfg, args)
     if getattr(args, "p", None) is not None:
@@ -117,6 +126,7 @@ def _write_curves(rows, path: Path) -> None:
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args.config)
+    _check_keys(cfg, ("d_u", "d_vs", "ranks", "factor_laws", "gamma", "shared_factors"))
     seed = _require_seed(cfg, args)
     p = args.p if args.p is not None else cfg.get("p")
     if p is None:
@@ -145,6 +155,7 @@ def cmd_generate(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
+    _check_keys(cfg)
     sc = _solver_config(cfg, args)
     obs_path = args.obs or cfg.get("obs")
     layout_path = args.layout or cfg.get("layout")
@@ -212,6 +223,7 @@ def cmd_coldstart(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg = _load_config(args.config)
+    _check_keys(cfg)
     kind = cfg.get("kind", "expfam")
     params = cfg.get("params")
     if params is None:

@@ -27,6 +27,7 @@ drivers stay dense, since a full SVD needs the matrix.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -169,11 +170,20 @@ def config_to_dict(cfg: SolverConfig) -> dict:
 
 def config_from_dict(d: dict) -> SolverConfig:
     """Inverse of :func:`config_to_dict`; a missing key takes the field
-    default, and a key that is not a field's JSON key raises ``ValueError``."""
-    names = {_CONFIG_KEYS.get(f.name, f.name): f.name for f in fields(SolverConfig)}
-    if unknown := sorted(set(d) - set(names)):
+    default.  A key that is not a field's JSON key, or anything but a number
+    for a field typed ``float`` or ``int`` (``"auto"`` aside for ``lambda``,
+    ``null`` for an optional field), raises ``ValueError`` naming the key."""
+    by_key = {_CONFIG_KEYS.get(f.name, f.name): f for f in fields(SolverConfig)}
+    if unknown := sorted(set(d) - set(by_key)):
         raise ValueError(f"unknown solver key(s): {', '.join(map(repr, unknown))}")
-    kwargs = {names[key]: value for key, value in d.items()}
+    for key, value in d.items():
+        kind = by_key[key].type  # the annotation's text, e.g. "int | None"
+        if (not kind.startswith(("float", "int")) or value == "auto" and key == "lambda"
+                or value is None and kind.endswith("None")):
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"solver key {key!r} must be a number, got {value!r}")
+    kwargs = {by_key[key].name: value for key, value in d.items()}
     if kwargs.get("losses") is not None:
         kwargs["losses"] = tuple(LipschitzLoss(**l) for l in kwargs["losses"])
     return SolverConfig(**kwargs)

@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heteromc import lambda_heuristic
+from heteromc import BlockLayout, lambda_heuristic
 from heteromc.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -229,6 +230,69 @@ def test_malformed_csv_reports_line_number(tmp_path):
         hio.load_observations(bad, layout, families)
 
 
+@pytest.mark.parametrize("line, fault", [
+    ("0,1,2", "expected 4 fields, got 3"),
+    ("0,1,2,3.0,4", "expected 4 fields, got 5"),
+    ("0,zero,2,3.0", "'0,zero,2,3.0'"),
+    ("0,1.5,2,3.0", "'0,1.5,2,3.0'"),
+    ("0,1_0,2,3.0", "'0,1_0,2,3.0'"),
+    ("0,1,2,abc", "'0,1,2,abc'"),
+], ids=["3-fields", "5-fields", "index-zero", "index-1.5", "index-1_0", "value-abc"])
+def test_malformed_line_is_named_by_its_file_line(tmp_path, line, fault):
+    # the blank line 3 makes the file's line number differ from the data row's
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"v,i,j,y\n0,0,0,1.0\n\n{line}\n0,2,2,2.0\n")
+    with pytest.raises(hio.DataFormatError) as info:
+        hio.load_observations(bad, BlockLayout(3, (3,)))
+    assert str(info.value).startswith(f"{bad}: line 4: ")
+    assert fault in str(info.value)
+
+
+def test_malformed_line_deep_in_a_large_file_is_named(tmp_path):
+    rows = [f"0,{k // 100},{k % 100},{k}.5" for k in range(9000)]
+    rows[7000] = "0,70,0.5,1.0"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("v,i,j,y\n\n" + "\n".join(rows) + "\n")
+    with pytest.raises(hio.DataFormatError, match=r": line 7003: .*'0,70,0\.5,1\.0'"):
+        hio.load_observations(bad, BlockLayout(90, (100,)))
+
+
+def test_crlf_file_loads_like_its_lf_twin(tmp_path):
+    text = "v,i,j,y\n0,0,1,1.5\n\n0,2,0,-2.5e-3\n0,1,1,nan\n"
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    layout = BlockLayout(3, (2,))
+    a, b = hio.load_observations(lf, layout), hio.load_observations(crlf, layout)
+    for name in ("v", "i", "j", "y"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+    assert a.n == 3
+
+
+def test_header_only_file_fit_is_a_data_error_without_warnings(tmp_path, capsys):
+    out = generate(tmp_path)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("v,i,j,y\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", "--obs", str(empty), "--layout", str(out / "layout.json"),
+                     "--out", str(tmp_path / "f")])
+    assert code == EXIT_DATA
+    assert "no observations" in capsys.readouterr().err
+
+
+def test_extreme_values_round_trip_byte_identically(tmp_path):
+    text = ("v,i,j,y\n0,0,0,nan\n0,0,1,inf\n0,0,2,-inf\n0,1,0,-0.00000000000000000e+00\n"
+            "0,1,1,4.94065645841246544e-324\n0,1,2,1.79769313486231571e+308\n")
+    path, again = tmp_path / "extreme.csv", tmp_path / "again.csv"
+    path.write_text(text)
+    obs = hio.load_observations(path, BlockLayout(2, (3,)))
+    assert np.signbit(obs.y[3]) and obs.y[4] == 5e-324
+    assert obs.y[5] == 1.7976931348623157e308
+    hio.save_observations(again, obs)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_fit_numerical_failure_exit_code(tmp_path):
     from heteromc.cli import EXIT_NUMERIC
     out = generate(tmp_path)
@@ -286,3 +350,35 @@ def test_bad_config_is_a_config_error(tmp_path, capsys, argv, cfg):
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.splitlines()[-1].startswith("config error:")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("nu", "abc"), ("epsilon", "1e-6"), ("lipschitz", "1"), ("max_iters", "10"),
+    ("lambda", "0.1"),
+])
+def test_solver_value_of_the_wrong_type_names_its_key(tmp_path, capsys, key, value):
+    gen = generate(tmp_path)
+    code = main(["fit", "--obs", str(gen / "obs.csv"), "--layout", str(gen / "layout.json"),
+                 "--config", write_cfg(tmp_path, "s.json", {"solver": {key: value}}),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == f"config error: solver key {key!r} must be a number, got {value!r}"
+
+
+def test_experiment_unknown_top_level_key_is_a_config_error(tmp_path, capsys):
+    cfg = {**COLD_CFG, "trails": 3}
+    code = main(["experiment", "--config", write_cfg(tmp_path, "e.json", cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "'trails'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_unknown_top_level_key_is_a_config_error(tmp_path, capsys):
+    cfg = {**GEN_CFG, "gama": 2.0}
+    code = main(["generate", "--config", write_cfg(tmp_path, "g.json", cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "'gama'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

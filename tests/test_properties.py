@@ -221,6 +221,64 @@ def test_observation_csv_round_trip(obs, values):
         assert np.array_equal(getattr(back, name), getattr(obs, name))
 
 
+def load_observations_per_line(path, layout, families=None):
+    """The per-line reader that ``io.load_observations`` replaced: the
+    reference for what its whole-file parse must return."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0].strip() != hio.OBS_HEADER:
+        raise hio.DataFormatError(f"{path}: line 1: expected header {hio.OBS_HEADER!r}")
+    vv, ii, jj, yy = [], [], [], []
+    for num, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise hio.DataFormatError(f"{path}: line {num}: expected 4 fields")
+        try:
+            vv.append(int(parts[0]))
+            ii.append(int(parts[1]))
+            jj.append(int(parts[2]))
+            yy.append(float(parts[3]))
+        except ValueError as exc:
+            raise hio.DataFormatError(f"{path}: line {num}: {exc}") from exc
+    return ObservationSet(layout, np.array(vv, dtype=np.int64), np.array(ii, dtype=np.int64),
+                          np.array(jj, dtype=np.int64), np.array(yy), families)
+
+
+padding = st.sampled_from(["", " ", "  ", "\t "])
+
+
+@st.composite
+def observation_csvs(draw):
+    """An observation set's CSV text, with blank lines, spaces around the
+    fields, mixed value notations and optional CRLF line ends."""
+    obs = draw(observation_sets())
+    values = draw(st.lists(st.floats(), min_size=obs.n, max_size=obs.n))
+    notations = st.sampled_from([repr, "{:.17e}".format, "{:.3g}".format, "{:+.6f}".format])
+    lines = ["v,i,j,y"]
+    for row in zip(obs.v.tolist(), obs.i.tolist(), obs.j.tolist(), values):
+        lines += [draw(padding) for _ in range(draw(st.integers(0, 2)))]
+        fields = [str(x) for x in row[:3]] + [draw(notations)(row[3])]
+        lines.append(",".join(draw(padding) + f + draw(padding) for f in fields))
+    lines += [draw(padding) for _ in range(draw(st.integers(0, 2)))]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return obs.layout, end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@SETTINGS
+@given(observation_csvs())
+def test_observation_csv_reader_matches_the_per_line_reference(doc):
+    layout, text = doc
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "obs.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = hio.load_observations(path, layout)
+        ref = load_observations_per_line(path, layout)
+    for name in ("v", "i", "j"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name))
+    assert np.array_equal(got.y.view(np.int64), ref.y.view(np.int64))
+
+
 @SETTINGS
 @given(layouts, st.data())
 def test_layout_json_round_trip(layout, data):
