@@ -132,15 +132,40 @@ class SamplingScheme:
         return self.table
 
 
+def _index_array(name: str, values) -> np.ndarray:
+    """``values`` as a flat int64 array; a non-integer dtype must hold
+    integral values that int64 can represent."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(float, copy=False)
+        bad = ~(np.isfinite(arr) & (arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63))
+        if np.any(bad):
+            raise ValueError(f"observation index {name} must hold int64 integers, "
+                             f"got {float(arr[bad][0])}")
+    return arr.astype(np.int64, copy=False).ravel()
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself when it is contiguous and already read-only, as another
+    :class:`ObservationSet`'s arrays are, else a contiguous copy no caller holds."""
+    return arr.copy() if arr.flags.writeable or not arr.flags.c_contiguous else arr
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     """Sparse masked observations {(v, i, j, y)} over a block layout.
 
     Triplets are stored in canonical (v, i, j) order, each entry observed at
-    most once.  ``families`` optionally tags each source with its
-    distribution model; likelihood operations require the tags.  The global
-    column of every entry and the start of each source's contiguous run are
-    computed once, at construction.
+    most once.  Input already in strictly increasing (v, i, j) order is
+    checked in O(n) and kept as it is, with no sort and no duplicate scan;
+    :func:`mask_sample`, :meth:`subset` with increasing positions,
+    :meth:`with_y`, :meth:`restrict_source`, :func:`observe_from_model` and
+    a file written by :func:`heteromc.io.save_observations` all give such
+    input.  Other input is sorted.  Index arrays of a non-integer dtype
+    must hold integral values.  ``families`` optionally tags each source
+    with its distribution model; likelihood operations require the tags.
+    The global column of every entry and the start of each source's
+    contiguous run are computed once, at construction.
     """
 
     layout: BlockLayout
@@ -151,14 +176,10 @@ class ObservationSet:
     families: tuple[ExpFamilyModel, ...] | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=np.int64).ravel()
-        i = np.asarray(self.i, dtype=np.int64).ravel()
-        j = np.asarray(self.j, dtype=np.int64).ravel()
+        v, i, j = (_index_array(name, getattr(self, name)) for name in "vij")
         y = np.asarray(self.y, dtype=float).ravel()
         if not v.shape == i.shape == j.shape == y.shape:
             raise ValueError("observation arrays must have equal length")
-        order = np.lexsort((j, i, v))
-        v, i, j, y = v[order], i[order], j[order], y[order]
         if v.size:
             if v.min() < 0 or v.max() >= self.layout.V:
                 raise ValueError("source index out of range")
@@ -167,6 +188,13 @@ class ObservationSet:
             d_vs = np.asarray(self.layout.d_vs)
             if j.min() < 0 or np.any(j >= d_vs[v]):
                 raise ValueError("column index out of range")
+        dv, di, dj = np.diff(v), np.diff(i), np.diff(j)
+        if np.all((dv > 0) | ((dv == 0) & ((di > 0) | ((di == 0) & (dj > 0))))):
+            # strictly increasing, so canonical and free of duplicates
+            v, i, j, y = map(_frozen, (v, i, j, y))
+        else:
+            order = np.lexsort((j, i, v))
+            v, i, j, y = v[order], i[order], j[order], y[order]
             same = (np.diff(v) == 0) & (np.diff(i) == 0) & (np.diff(j) == 0)
             if np.any(same):
                 raise ValueError("duplicate (v, i, j) observation")
@@ -262,16 +290,22 @@ def mask_sample(full: CollectiveMatrix, scheme: SamplingScheme, seed,
     """Reveal each entry of ``full`` independently with its scheme probability.
 
     A uniform scheme compares the draws with p itself, so no d_u x D table
-    of probabilities is built.
+    of probabilities is built.  The revealed entries are listed source by
+    source, each block in row-major order, which is the canonical (v, i, j)
+    order the :class:`ObservationSet` checks in O(n) and does not re-sort.
     """
+    layout = full.layout
     rng = np.random.default_rng(seed)
-    probs = scheme.p if scheme.kind == "uniform" else scheme.prob_matrix(full.layout)
+    probs = scheme.p if scheme.kind == "uniform" else scheme.prob_matrix(layout)
     mask = rng.random(full.values.shape) < probs
-    ii, cc = np.nonzero(mask)
-    offsets = np.asarray(full.layout.col_offsets + (full.layout.D,))
-    vv = np.searchsorted(offsets, cc, side="right") - 1
-    jj = cc - offsets[vv]
-    return ObservationSet(full.layout, vv, ii, jj, full.values[ii, cc], families)
+    hits = [np.nonzero(mask[:, layout.block_cols(v)]) for v in range(layout.V)]
+    arrays = (np.repeat(np.arange(layout.V), [ii.size for ii, _ in hits]),
+              np.concatenate([ii for ii, _ in hits]),
+              np.concatenate([jj for _, jj in hits]),
+              np.concatenate([full.block(v)[hit] for v, hit in enumerate(hits)]))
+    for arr in arrays:
+        arr.setflags(write=False)  # nothing else holds them, so the set shares them
+    return ObservationSet(layout, *arrays, families)
 
 
 def empirical_marginals(obs: ObservationSet) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -364,23 +398,23 @@ def generate_synthetic(cfg: SyntheticConfig) -> CollectiveMatrix:
             if np.abs(shared_l).max() > 0:
                 break
             attempt += 1
-    blocks = []
+    out = CollectiveMatrix.zeros(layout)
     resampled: dict[int, int] = {}
     for v, (dv, r, law) in enumerate(zip(cfg.d_vs, cfg.ranks, cfg.factor_laws)):
+        block = out.block(v)
         attempt = 0
         while True:
             rng = np.random.default_rng((cfg.seed, v, attempt))
             left = shared_l if shared_l is not None else _draw_factor(law, (cfg.d_u, r), rng)
             right = _draw_factor(law, (dv, r), rng)
-            m = left @ right.T
-            peak = float(np.abs(m).max())
+            np.matmul(left, right.T, out=block)
+            peak = float(np.abs(block).max())
             if peak > 0:
                 break
             attempt += 1
         if attempt:
             resampled[v] = attempt
-        blocks.append(m * (cfg.gamma / peak))
-    out = CollectiveMatrix(layout, np.hstack(blocks))
+        block *= cfg.gamma / peak
     out.meta.update({"seed": cfg.seed, "resampled": resampled})
     return out
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 
 
 def _values(z) -> np.ndarray:
@@ -115,7 +115,7 @@ def qr_orthonormalize(m: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
         raise ValueError("need at least as many rows as columns")
     if m.shape[1] == 0:
         return m.copy()
-    q, r = np.linalg.qr(m)
+    q, r = linalg.qr(m, mode="economic", check_finite=False)
     diag = np.diagonal(r)
     q = q * np.where(diag < 0, -1.0, 1.0)
     return q[:, np.abs(diag) > drop_tol]
@@ -234,8 +234,7 @@ def rank1_svd(y, tol: float = 1e-10, max_iters: int = 1000) -> tuple[np.ndarray,
     v = rng.standard_normal(y.shape[1])
     v /= np.linalg.norm(v)
     sigma = 0.0
-    u = y @ v
-    for _ in range(max_iters):
+    for _ in range(max(max_iters, 1)):
         u = y @ v
         nu = np.linalg.norm(u)
         if nu == 0.0:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,17 @@ def test_observation_set_validation():
         ObservationSet(layout, [1], [0], [0], [1.0])  # source out of range
     with pytest.raises(ValueError):
         ObservationSet(layout, [0], [0], [3], [1.0])  # column out of range
+    # a non-integral index is named, not truncated
+    with pytest.raises(ValueError, match="index i must hold int64 integers, got 1.7"):
+        ObservationSet(layout, [0.0], [1.7], [2.2], [5.0])
+    with pytest.raises(ValueError, match="index j must hold int64 integers, got -0.5"):
+        ObservationSet(layout, [0], [1], np.array([-0.5]), [5.0])
+    for bad in (np.nan, np.inf, 1e300):
+        message = re.escape(f"index v must hold int64 integers, got {bad}")
+        with pytest.raises(ValueError, match=message):
+            ObservationSet(layout, [bad], [1], [2], [5.0])
+    whole = ObservationSet(layout, [0.0], np.array([1.0], dtype=np.float32), [2.0], [5.0])
+    assert whole.i.dtype == np.int64 and (whole.v[0], whole.i[0], whole.j[0]) == (0, 1, 2)
 
 
 def test_empirical_marginals_against_recount():

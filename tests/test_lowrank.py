@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import linalg, sparse
 
 from heteromc import (
     ThinFactors,
@@ -320,16 +320,18 @@ def test_approx_svt_takes_its_factors_from_the_ritz_pairs(rng, monkeypatch, stru
                                 sparse.csr_matrix((u[:, 10:] * spectrum[10:]) @ v[:, 10:].T))
     calls = {"eigh": 0, "svd": 0, "qr": 0}
 
-    def counted(name):
-        original = getattr(np.linalg, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counted(name))
+    # QR is counted through either library, the SVD and eigh through numpy's
+    for module, names in ((np.linalg, calls), (linalg, ("qr",))):
+        for name in names:
+            monkeypatch.setattr(module, name, counted(module, name))
     out, converged = approx_svt(form, rng.normal(size=(n, 15)), lam, delta=1e-10)
     monkeypatch.undo()
     assert converged and out.rank == exact.rank == 11

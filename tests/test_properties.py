@@ -1,6 +1,6 @@
-"""Property tests: observation-set invariants, the data term, file formats,
-the sparse-plus-low-rank operator, singular value thresholding and the
-solver's warm-start basis."""
+"""Property tests: observation-set invariants and the builders that emit them
+in canonical order, the data term, file formats, the sparse-plus-low-rank
+operator, singular value thresholding and the solver's warm-start basis."""
 
 import tempfile
 from pathlib import Path
@@ -13,14 +13,19 @@ from scipy.special import expit
 
 from heteromc import (
     BlockLayout,
+    CollectiveMatrix,
     ExpFamilyModel,
     LipschitzLoss,
     ObservationSet,
+    SamplingScheme,
     SolverConfig,
+    SyntheticConfig,
     empirical_risk,
     g_prime,
     g_value,
+    generate_synthetic,
     grad_neg_log_likelihood,
+    mask_sample,
     neg_log_likelihood,
     ThinFactors,
     approx_svt,
@@ -30,11 +35,13 @@ from heteromc import (
 )
 from heteromc import io as hio
 from heteromc import objectives
+from heteromc.data import FACTOR_LAWS, _draw_factor
 from heteromc.lowrank import SparsePlusLowRank, qr_orthonormalize
 from heteromc.objectives import DataTerm, solver_loss_terms
 from heteromc.solvers import _data_terms, _warm_basis
 
 SETTINGS = settings(max_examples=60, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
 
 layouts = st.builds(
     BlockLayout,
@@ -102,6 +109,188 @@ def test_observation_set_invariants_survive_derivations(obs, data):
     sub = obs.restrict_source(v)
     assert_invariants(sub)
     assert np.array_equal(sub.y, obs.y[obs.source_slice(v)])
+
+
+# -- canonical order: the builders emit it, the constructor checks it ------
+
+
+def mask_sample_sorting(full, scheme, seed):
+    """The ``mask_sample`` that sorted its draws: nonzero over the whole
+    matrix, source lookup by ``searchsorted`` and a lexsort into (v, i, j)
+    order.  The reference for what the in-order builder must return."""
+    rng = np.random.default_rng(seed)
+    probs = scheme.p if scheme.kind == "uniform" else scheme.prob_matrix(full.layout)
+    mask = rng.random(full.values.shape) < probs
+    ii, cc = np.nonzero(mask)
+    offsets = np.asarray(full.layout.col_offsets + (full.layout.D,))
+    vv = np.searchsorted(offsets, cc, side="right") - 1
+    jj = cc - offsets[vv]
+    order = np.lexsort((jj, ii, vv))
+    return vv[order], ii[order], jj[order], full.values[ii, cc][order]
+
+
+def generate_synthetic_hstack(cfg):
+    """The ``generate_synthetic`` that scaled a copy of each block product and
+    stacked the copies; the reference for the in-place build."""
+    shared_l = None
+    if cfg.shared_factors:
+        attempt = 0
+        while True:
+            rng = np.random.default_rng((cfg.seed, 999, attempt))
+            shared_l = _draw_factor(cfg.factor_laws[0], (cfg.d_u, cfg.ranks[0]), rng)
+            if np.abs(shared_l).max() > 0:
+                break
+            attempt += 1
+    blocks, resampled = [], {}
+    for v, (dv, r, law) in enumerate(zip(cfg.d_vs, cfg.ranks, cfg.factor_laws)):
+        attempt = 0
+        while True:
+            rng = np.random.default_rng((cfg.seed, v, attempt))
+            left = shared_l if shared_l is not None else _draw_factor(law, (cfg.d_u, r), rng)
+            right = _draw_factor(law, (dv, r), rng)
+            m = left @ right.T
+            peak = float(np.abs(m).max())
+            if peak > 0:
+                break
+            attempt += 1
+        if attempt:
+            resampled[v] = attempt
+        blocks.append(m * (cfg.gamma / peak))
+    return np.hstack(blocks), resampled
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_set(a, b):
+    for name in ("v", "i", "j", "y", "cols"):
+        assert same_bits(getattr(a, name), getattr(b, name)), name
+    for v in range(a.layout.V):
+        assert a.source_slice(v) == b.source_slice(v)
+
+
+@st.composite
+def distinct_triplets(draw):
+    """A layout and distinct canonical-order triplets over it; one source
+    may be left without observations."""
+    layout = draw(layouts)
+    rng = np.random.default_rng(draw(seeds))
+    mask = rng.random((layout.d_u, layout.D)) < draw(st.floats(0.0, 1.0))
+    empty = draw(st.one_of(st.none(), st.integers(0, layout.V - 1)))
+    if empty is not None:
+        mask[:, layout.block_cols(empty)] = False
+    vv, ii, jj = [], [], []
+    for v in range(layout.V):
+        rows, cols = np.nonzero(mask[:, layout.block_cols(v)])
+        vv += [v] * rows.size
+        ii += rows.tolist()
+        jj += cols.tolist()
+    y = rng.normal(size=len(vv))
+    return layout, np.array(vv, dtype=np.int64), np.array(ii, dtype=np.int64), \
+        np.array(jj, dtype=np.int64), y, rng
+
+
+@SETTINGS
+@given(distinct_triplets())
+def test_shuffled_and_sorted_triplets_build_the_same_set(doc):
+    layout, v, i, j, y, rng = doc
+    perm = rng.permutation(v.size)
+    shuffled = ObservationSet(layout, v[perm], i[perm], j[perm], y[perm])
+    in_order = ObservationSet(layout, v, i, j, y)
+    assert_same_set(shuffled, in_order)
+    assert_invariants(in_order)
+    if v.size:
+        # one triplet observed twice, next to its twin or anywhere
+        k = int(rng.integers(v.size))
+        for order in (np.insert(np.arange(v.size), k, k),
+                      rng.permutation(np.append(np.arange(v.size), k))):
+            with pytest.raises(ValueError, match="duplicate"):
+                ObservationSet(layout, v[order], i[order], j[order], y[order])
+
+
+def test_in_order_input_is_copied_unless_already_read_only():
+    layout = BlockLayout(3, (2, 2))
+    v, i, j, y = (np.array(a) for a in ([0, 0, 1], [0, 2, 1], [1, 0, 1], [1.0, 2.0, 3.0]))
+    obs = ObservationSet(layout, v, i, j, y)
+    y[0] = 9.0  # the caller's array stays writable and apart from the set
+    assert obs.y[0] == 1.0 and not obs.y.flags.writeable
+    # read-only arrays, such as another set's, are shared
+    assert np.shares_memory(obs.with_y(obs.y).y, obs.y)
+
+
+@SETTINGS
+@given(layouts, st.sampled_from([1.0, 0.5, 0.05, None]), seeds)
+def test_mask_sample_matches_the_sorting_reference(layout, p, seed):
+    rng = np.random.default_rng(seed)
+    full = CollectiveMatrix(layout, rng.normal(size=(layout.d_u, layout.D)))
+    scheme = (SamplingScheme.uniform(p) if p is not None
+              else SamplingScheme.per_entry(rng.uniform(1e-3, 1.0, (layout.d_u, layout.D))))
+    obs = mask_sample(full, scheme, seed)
+    assert_same_set(obs, ObservationSet(layout, *mask_sample_sorting(full, scheme, seed)))
+    if p == 1.0:
+        assert obs.n == layout.d_u * layout.D
+
+
+@st.composite
+def synthetic_configs(draw):
+    d_u = draw(st.integers(1, 8))
+    d_vs = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    shared = draw(st.booleans())
+    top = min(d_u, *d_vs)
+    if shared:
+        ranks = [draw(st.integers(1, top))] * len(d_vs)
+    else:
+        ranks = [draw(st.integers(1, min(d_u, dv))) for dv in d_vs]
+    laws = [draw(st.sampled_from(FACTOR_LAWS)) for _ in d_vs]
+    return SyntheticConfig(d_u, tuple(d_vs), tuple(ranks), tuple(laws),
+                           gamma=draw(st.floats(0.1, 5.0)), seed=draw(seeds),
+                           shared_factors=shared)
+
+
+@SETTINGS
+@given(synthetic_configs())
+def test_generate_synthetic_matches_the_hstack_reference(cfg):
+    out = generate_synthetic(cfg)
+    values, resampled = generate_synthetic_hstack(cfg)
+    assert same_bits(out.values, values)
+    assert out.meta["resampled"] == resampled
+
+
+def test_generate_synthetic_matches_the_reference_through_resamples():
+    # 1 x 1 Bernoulli blocks are all zero with probability 3/4 per draw
+    cfgs = [SyntheticConfig(1, (1, 3), (1, 1), ("bernoulli", "gaussian"), seed=s,
+                            shared_factors=shared)
+            for s in range(20) for shared in (False, True)]
+    redraws = 0
+    for cfg in cfgs:
+        out = generate_synthetic(cfg)
+        values, resampled = generate_synthetic_hstack(cfg)
+        assert same_bits(out.values, values) and out.meta["resampled"] == resampled
+        redraws += bool(resampled)
+    assert redraws
+    big = SyntheticConfig(60, (40, 25, 33), (4, 4, 4), FACTOR_LAWS, seed=3, shared_factors=True)
+    assert same_bits(generate_synthetic(big).values, generate_synthetic_hstack(big)[0])
+
+
+def test_mask_sample_and_the_csv_round_trip_never_sort(monkeypatch):
+    layout = BlockLayout(40, (13, 1, 30))
+    full = CollectiveMatrix(layout, np.random.default_rng(8).normal(size=(40, 44)))
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted the observations")
+
+    monkeypatch.setattr(np, "lexsort", no_sort)
+    obs = mask_sample(full, SamplingScheme.uniform(0.3), 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "obs.csv"
+        hio.save_observations(path, obs)
+        back = hio.load_observations(path, layout)
+    assert_same_set(back, obs)
+    half = obs.subset(np.arange(0, obs.n, 2))  # increasing positions keep the order
+    assert_same_set(half.with_y(obs.y[::2]), half)
+    with pytest.raises(AssertionError, match="sorted"):  # the patch does bite
+        ObservationSet(layout, obs.v[::-1], obs.i[::-1], obs.j[::-1], obs.y[::-1])
 
 
 def domain_params(obs, rng):
@@ -288,9 +477,6 @@ def test_layout_json_round_trip(layout, data):
         path = Path(tmp) / "layout.json"
         hio.save_layout(path, layout, fams)
         assert hio.load_layout(path) == (layout, fams)
-
-
-seeds = st.integers(0, 2**32 - 1)
 
 
 def random_operator(m, n, r, density, rng):
