@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -32,15 +32,14 @@ from .data import (
     mask_sample,
     observe_from_model,
 )
-from .families import ExpFamilyModel, model_from_dict, model_to_dict
+from .families import ExpFamilyModel
+from .jsonconf import from_json, json_keys, to_json
 from .lowrank import _values, rank1_svd
 from .objectives import empirical_risk, map_binary_labels
 from .solvers import (
     FitResult,
     NumericalError,
     SolverConfig,
-    config_from_dict,
-    config_to_dict,
     plais_impute,
     theory_bound,
     tight_lipschitz,
@@ -56,20 +55,6 @@ def relative_error(w_hat, w_true) -> float:
     if denom == 0:
         raise ValueError("ground truth is the zero matrix")
     return float(np.linalg.norm(hv - tv) / denom)
-
-
-# JSON key of each field whose key differs from its name
-_SPEC_KEYS = {"fit_families": "families"}
-_RECORD_KEYS = {"lambda_used": "lambda"}
-
-
-def _fields_dict(obj, keys: dict) -> dict:
-    """Dataclass fields by JSON key, tuples as lists."""
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        out[keys.get(f.name, f.name)] = list(value) if isinstance(value, tuple) else value
-    return out
 
 
 @dataclass(frozen=True)
@@ -101,11 +86,13 @@ class ExperimentSpec:
     auto_lipschitz: bool = True
     experiment_id: str = "exp"
 
+    JSON_KEYS = {"fit_families": "families"}
+
     def __post_init__(self):
         for name in ("d_vs", "ranks", "factor_laws", "p_grid", "methods"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.fit_families is not None:
-            object.__setattr__(self, "fit_families", tuple(self.fit_families))
+            object.__setattr__(self, "fit_families", tuple(self.fit_families) or None)
         if not self.p_grid or any(not 0 < p <= 1 for p in self.p_grid):
             raise ValueError("p_grid must be nonempty with entries in (0, 1]")
         if self.trials < 1:
@@ -125,28 +112,17 @@ class ExperimentSpec:
                      for _ in self.d_vs)
 
     def to_dict(self) -> dict:
-        out = _fields_dict(self, _SPEC_KEYS)
-        out["solver"] = config_to_dict(self.solver)
-        fams = self.fit_families
-        out["families"] = None if fams is None else [model_to_dict(m) for m in fams]
-        return out
+        return to_json(self)
 
     @classmethod
     def keys(cls) -> frozenset[str]:
         """The top-level JSON keys :meth:`from_dict` reads."""
-        return frozenset(_SPEC_KEYS.get(f.name, f.name) for f in fields(cls))
+        return frozenset(json_keys(cls))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        """Inverse of :meth:`to_dict`; a missing key takes the field default,
-        and missing factor laws default to gaussian."""
-        kwargs = {f.name: d[key] for f in fields(cls)
-                  if (key := _SPEC_KEYS.get(f.name, f.name)) in d}
-        kwargs.setdefault("factor_laws", ["gaussian"] * len(d["d_vs"]))
-        kwargs["solver"] = config_from_dict(d.get("solver", {}))
-        fams = kwargs.get("fit_families")
-        kwargs["fit_families"] = tuple(model_from_dict(m) for m in fams) if fams else None
-        return cls(**kwargs)
+        """Inverse of :meth:`to_dict`, by :func:`~heteromc.jsonconf.from_json`."""
+        return from_json(cls, d, "experiment")
 
 
 @dataclass
@@ -167,8 +143,10 @@ class MetricRecord:
     objective_trace: tuple[float, ...] = ()
     error: str | None = None
 
+    JSON_KEYS = {"lambda_used": "lambda"}
+
     def to_dict(self) -> dict:
-        return _fields_dict(self, _RECORD_KEYS)
+        return to_json(self)
 
 
 def _derive_seed(*parts) -> int:

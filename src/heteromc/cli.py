@@ -24,15 +24,10 @@ from .bench import (
     run_experiment,
     summarize,
 )
-from .data import BlockLayout, SamplingScheme, SyntheticConfig, generate_synthetic, mask_sample
-from .families import DomainError, ExpFamilyModel, model_from_dict
-from .solvers import (
-    NumericalError,
-    SolverConfig,
-    config_from_dict,
-    plais_impute,
-    theory_bound,
-)
+from .data import SamplingScheme, SyntheticConfig, generate_synthetic, mask_sample
+from .families import DomainError, ExpFamilyModel
+from .jsonconf import from_json, json_keys
+from .solvers import NumericalError, SolverConfig, plais_impute, theory_bound
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,48 +62,36 @@ def _check_keys(cfg: dict, known=()) -> None:
         raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
 
 
-def _families_from(cfg: dict, d_vs) -> tuple[ExpFamilyModel, ...]:
-    fams = cfg.get("families")
-    if fams is None:
-        return tuple(ExpFamilyModel("gaussian", 1.0) for _ in d_vs)
-    return tuple(model_from_dict(d) for d in fams)
+def _solver_dict(cfg: dict, args) -> dict:
+    """The config's solver section with the --lambda, --nu and --epsilon flags merged in."""
+    solver = cfg.get("solver", {})
+    flags = {"lambda": args.lam, "nu": args.nu, "epsilon": args.epsilon}
+    flags = {k: v for k, v in flags.items() if v is not None}
+    return {**solver, **flags} if isinstance(solver, dict) else solver
 
 
-def _solver_config(cfg: dict, args) -> SolverConfig:
-    sc = config_from_dict(cfg.get("solver", {}))
-    overrides = {}
-    if getattr(args, "lam", None) is not None:
-        overrides["lam"] = args.lam if args.lam == "auto" else float(args.lam)
-    if getattr(args, "nu", None) is not None:
-        overrides["nu"] = args.nu
-    if getattr(args, "epsilon", None) is not None:
-        overrides["epsilon"] = args.epsilon
-    if overrides:
-        from dataclasses import replace
-        sc = replace(sc, **overrides)
-    sc.validate()
-    return sc
-
-
-def _require_seed(cfg: dict, args) -> int:
-    seed = args.seed if getattr(args, "seed", None) is not None else cfg.get("seed")
+def _read_spec(cls, cfg: dict, args, **doc):
+    """``cls`` read from the config keys it owns, with the seed, gaussian
+    factor laws when none are given, and ``doc`` filled in."""
+    keys = json_keys(cls)
+    _check_keys(cfg, keys)
+    seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("a seed is required")
-    return int(seed)
+    own = {k: v for k, v in cfg.items() if k in keys}
+    if isinstance(cfg.get("d_vs"), list):
+        own.setdefault("factor_laws", ["gaussian"] * len(cfg["d_vs"]))
+    return from_json(cls, {**own, "seed": seed, **doc}, "config")
 
 
 def _experiment_spec(cfg: dict, args) -> ExperimentSpec:
-    _check_keys(cfg, ExperimentSpec.keys())
-    cfg = dict(cfg)
-    cfg["seed"] = _require_seed(cfg, args)
-    if getattr(args, "p", None) is not None:
-        cfg["p_grid"] = [args.p]
-    if not cfg.get("p_grid"):
+    p_grid = [args.p] if args.p is not None else cfg.get("p_grid")
+    if not p_grid:
         raise ConfigError("p_grid must be a nonempty list of probabilities")
-    spec = ExperimentSpec.from_dict(cfg)
-    solver = _solver_config(cfg, args)
-    from dataclasses import replace
-    return replace(spec, solver=solver)
+    spec = _read_spec(ExperimentSpec, cfg, args, p_grid=p_grid,
+                      solver=_solver_dict(cfg, args))
+    spec.solver.validate()
+    return spec
 
 
 def _write_records(records, out_dir: Path) -> None:
@@ -126,24 +109,15 @@ def _write_curves(rows, path: Path) -> None:
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args.config)
-    _check_keys(cfg, ("d_u", "d_vs", "ranks", "factor_laws", "gamma", "shared_factors"))
-    seed = _require_seed(cfg, args)
+    syn = _read_spec(SyntheticConfig, cfg, args)
     p = args.p if args.p is not None else cfg.get("p")
     if p is None:
         raise ConfigError("a sampling probability p is required")
-    syn = SyntheticConfig(
-        d_u=int(cfg["d_u"]),
-        d_vs=tuple(cfg["d_vs"]),
-        ranks=tuple(cfg["ranks"]),
-        factor_laws=tuple(cfg.get("factor_laws", ["gaussian"] * len(cfg["d_vs"]))),
-        gamma=cfg.get("gamma", 1.0),
-        seed=seed,
-        shared_factors=cfg.get("shared_factors", False),
-    )
-    families = _families_from(cfg, syn.d_vs)
+    fams = cfg.get("families") or [{"family": "gaussian", "nuisance": 1.0}] * len(syn.d_vs)
+    families = from_json(tuple[ExpFamilyModel, ...], fams, "config", "families")
     truth = generate_synthetic(syn)
     obs = mask_sample(truth, SamplingScheme.uniform(float(p)),
-                      np.random.SeedSequence((seed, 2)), families)
+                      np.random.SeedSequence((syn.seed, 2)), families)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     hio.save_layout(out / "layout.json", truth.layout, families)
@@ -156,7 +130,8 @@ def cmd_generate(args) -> int:
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg)
-    sc = _solver_config(cfg, args)
+    sc = from_json(SolverConfig, _solver_dict(cfg, args), "solver")
+    sc.validate()
     obs_path = args.obs or cfg.get("obs")
     layout_path = args.layout or cfg.get("layout")
     if not obs_path or not layout_path:
@@ -236,6 +211,10 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def number_or_auto(text: str) -> float | str:
+    return text if text == "auto" else float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heteromc",
@@ -250,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
 
     solver_flags = argparse.ArgumentParser(add_help=False)
-    solver_flags.add_argument("--lambda", dest="lam",
+    solver_flags.add_argument("--lambda", dest="lam", type=number_or_auto,
                               help="regularization weight or 'auto'")
     solver_flags.add_argument("--nu", type=float)
     solver_flags.add_argument("--epsilon", type=float)

@@ -33,7 +33,8 @@ class BlockLayout:
     d_vs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "d_vs", tuple(int(d) for d in self.d_vs))
+        d_vs = _index_array("layout d_vs", tuple(self.d_vs))
+        object.__setattr__(self, "d_vs", tuple(d_vs.tolist()))
         if self.d_u < 1 or self.V < 1 or any(d < 1 for d in self.d_vs):
             raise ValueError("layout dimensions must be positive")
         offsets = np.concatenate([[0], np.cumsum(self.d_vs)])
@@ -140,8 +141,7 @@ def _index_array(name: str, values) -> np.ndarray:
         arr = arr.astype(float, copy=False)
         bad = ~(np.isfinite(arr) & (arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63))
         if np.any(bad):
-            raise ValueError(f"observation index {name} must hold int64 integers, "
-                             f"got {float(arr[bad][0])}")
+            raise ValueError(f"{name} must hold int64 integers, got {float(arr[bad][0])}")
     return arr.astype(np.int64, copy=False).ravel()
 
 
@@ -176,7 +176,7 @@ class ObservationSet:
     families: tuple[ExpFamilyModel, ...] | None = None
 
     def __post_init__(self):
-        v, i, j = (_index_array(name, getattr(self, name)) for name in "vij")
+        v, i, j = (_index_array(f"observation index {n}", getattr(self, n)) for n in "vij")
         y = np.asarray(self.y, dtype=float).ravel()
         if not v.shape == i.shape == j.shape == y.shape:
             raise ValueError("observation arrays must have equal length")
@@ -356,8 +356,9 @@ class SyntheticConfig:
     shared_factors: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "d_vs", tuple(int(d) for d in self.d_vs))
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        for name in ("d_vs", "ranks"):
+            sizes = _index_array(name, tuple(getattr(self, name)))
+            object.__setattr__(self, name, tuple(sizes.tolist()))
         object.__setattr__(self, "factor_laws", tuple(self.factor_laws))
         if not len(self.d_vs) == len(self.ranks) == len(self.factor_laws):
             raise ValueError("d_vs, ranks and factor_laws must have equal length")

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .jsonconf import from_json, to_json
+
 FAMILIES = ("gaussian", "binomial", "gamma", "negbinomial", "poisson")
 
 _NEGATIVE_DOMAIN = frozenset({"gamma", "negbinomial"})
@@ -264,23 +266,8 @@ def sample(model: ExpFamilyModel, eta, rng):
 
 def model_to_dict(model: ExpFamilyModel) -> dict:
     """Config-file form: lowercase family token plus parameter fields."""
-    return {
-        "family": model.family,
-        "nuisance": model.nuisance,
-        "gamma": model.gamma,
-        "kappa": model.kappa,
-        "interval": list(model.interval) if model.interval is not None else None,
-    }
+    return to_json(model)
 
 
 def model_from_dict(d: dict) -> ExpFamilyModel:
-    interval = d.get("interval")
-    kwargs = {
-        "family": d["family"],
-        "nuisance": d.get("nuisance"),
-        "kappa": d.get("kappa", 1.0),
-        "interval": tuple(interval) if interval is not None else None,
-    }
-    if interval is None:
-        kwargs["gamma"] = d.get("gamma", 1.0)
-    return ExpFamilyModel(**kwargs)
+    return from_json(ExpFamilyModel, d, "family")

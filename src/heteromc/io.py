@@ -9,7 +9,8 @@ spaces around fields, blank lines and CRLF line ends, and rejects ``_``
 digit separators (which Python's ``int`` and ``float`` accept).  A line that
 does not parse raises :class:`DataFormatError` ``"path: line N: ..."`` with
 N the file's 1-based line number; the CLI exits 3 on it.
-The layout sidecar is JSON with the block sizes and per-source family tags.
+The layout sidecar is JSON with the block sizes and per-source family tags;
+a key it does not know or a value of the wrong type is a DataFormatError.
 Arrays persist as a JSON shape header next to raw little-endian float64
 bytes; factor triples reuse the same container.
 """
@@ -23,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import BlockLayout, ObservationSet
-from .families import ExpFamilyModel, model_from_dict, model_to_dict
+from .families import ExpFamilyModel
+from .jsonconf import from_json, to_json
 from .lowrank import ThinFactors
 
 OBS_HEADER = "v,i,j,y"
@@ -34,23 +36,17 @@ class DataFormatError(ValueError):
 
 
 def save_layout(path, layout: BlockLayout, families=None) -> None:
-    doc = {
-        "d_u": layout.d_u,
-        "d_vs": list(layout.d_vs),
-        "families": [model_to_dict(m) for m in families] if families else None,
-    }
+    doc = {**to_json(layout), "families": to_json(families) if families else None}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def load_layout(path) -> tuple[BlockLayout, tuple[ExpFamilyModel, ...] | None]:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        layout = BlockLayout(int(doc["d_u"]), tuple(doc["d_vs"]))
-        families = doc.get("families")
-        if families is not None:
-            families = tuple(model_from_dict(d) for d in families)
-        return layout, families
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        doc = dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        families = from_json(tuple[ExpFamilyModel, ...] | None, doc.pop("families", None),
+                             "layout", "families")
+        return from_json(BlockLayout, doc, "layout"), families
+    except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: invalid layout file ({exc})") from exc
 
 

@@ -29,12 +29,14 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
 from .data import CollectiveMatrix, ObservationSet, estimate_mu
 from .families import strong_convexity_bounds
+from .jsonconf import from_json, to_json
 from .lowrank import (
     SparsePlusLowRank,
     ThinFactors,
@@ -84,7 +86,7 @@ class SolverConfig:
     five times the expected rank to reproduce the learning-rank behaviour).
     """
 
-    lam: float | str = "auto"
+    lam: float | Literal["auto"] = "auto"
     nu: float = 0.7
     epsilon: float = 1e-6
     max_iters: int = 500
@@ -100,25 +102,25 @@ class SolverConfig:
     clip_final: bool = False
     momentum: bool = True
 
+    JSON_KEYS = {"lam": "lambda"}
+
     def validate(self) -> None:
         if not 0 < self.nu < 1:
             raise ValueError("nu must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.max_iters < 1 or self.max_iters != int(self.max_iters):
-            raise ValueError("max_iters must be an integer >= 1")
-        if self.lipschitz <= 0:
-            raise ValueError("lipschitz must be positive")
+        for name in ("epsilon", "lipschitz", "basis_drop", "gamma", "smoothing"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name, least in (("max_iters", 1), ("warm_slack", 0), ("init_rank", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least
+                    or value is None and name == "init_rank"):
+                raise ValueError(f"{name} must be an integer >= {least}")
         if self.lam != "auto" and float(self.lam) < 0:
             raise ValueError("lambda must be nonnegative")
         if self.mode not in ("likelihood", "general_loss"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "general_loss" and not self.losses:
             raise ValueError("general_loss mode needs per-source losses")
-        if self.warm_slack < 0 or (self.init_rank is not None and self.init_rank < 1):
-            raise ValueError("warm_slack must be >= 0 and init_rank >= 1")
-        if self.basis_drop <= 0:
-            raise ValueError("basis_drop must be positive")
 
 
 @dataclass
@@ -145,7 +147,7 @@ class FitResult:
 
     def to_dict(self) -> dict:
         return {
-            "config": config_to_dict(self.config) if self.config else None,
+            "config": to_json(self.config),
             "lambda": self.lambda_used,
             "objective_history": list(self.objective_history),
             "rank_history": list(self.rank_history),
@@ -157,36 +159,13 @@ class FitResult:
         }
 
 
-# JSON key of each SolverConfig field whose key differs from its name
-_CONFIG_KEYS = {"lam": "lambda"}
-
-
 def config_to_dict(cfg: SolverConfig) -> dict:
-    out = {_CONFIG_KEYS.get(f.name, f.name): getattr(cfg, f.name) for f in fields(cfg)}
-    if cfg.losses is not None:
-        out["losses"] = [asdict(l) for l in cfg.losses]
-    return out
+    return to_json(cfg)
 
 
 def config_from_dict(d: dict) -> SolverConfig:
-    """Inverse of :func:`config_to_dict`; a missing key takes the field
-    default.  A key that is not a field's JSON key, or anything but a number
-    for a field typed ``float`` or ``int`` (``"auto"`` aside for ``lambda``,
-    ``null`` for an optional field), raises ``ValueError`` naming the key."""
-    by_key = {_CONFIG_KEYS.get(f.name, f.name): f for f in fields(SolverConfig)}
-    if unknown := sorted(set(d) - set(by_key)):
-        raise ValueError(f"unknown solver key(s): {', '.join(map(repr, unknown))}")
-    for key, value in d.items():
-        kind = by_key[key].type  # the annotation's text, e.g. "int | None"
-        if (not kind.startswith(("float", "int")) or value == "auto" and key == "lambda"
-                or value is None and kind.endswith("None")):
-            continue
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"solver key {key!r} must be a number, got {value!r}")
-    kwargs = {by_key[key].name: value for key, value in d.items()}
-    if kwargs.get("losses") is not None:
-        kwargs["losses"] = tuple(LipschitzLoss(**l) for l in kwargs["losses"])
-    return SolverConfig(**kwargs)
+    """Inverse of :func:`config_to_dict`, by :func:`~heteromc.jsonconf.from_json`."""
+    return from_json(SolverConfig, d, "solver")
 
 
 def lambda_heuristic(obs: ObservationSet, families=None, constant_c: float = 1.0) -> float:
@@ -439,7 +418,10 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
         a, b = _extrapolate(factors, factors_prev, theta)
         eta_x = (1.0 + theta) * eta - theta * eta_prev
         if dense_z:
-            z = a @ b.T - grad(eta_x) / big_l
+            # in place: two d_u x D arrays at the peak; g/(-L) + m == m - g/L bitwise
+            z = grad(eta_x)
+            z /= -big_l
+            z += a @ b.T
         else:
             z = SparsePlusLowRank(a, b, obs.to_csr(-term.grad_on_omega(eta_x) / big_l))
         basis = _warm_basis(factors.v, factors_prev.v, cfg.basis_drop)

@@ -382,3 +382,53 @@ def test_generate_unknown_top_level_key_is_a_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "'gama'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+GAUSS = {"family": "gaussian", "nuisance": 1.0}
+
+
+def run(argv):
+    """``main``'s exit code, also when argparse rejects a flag value."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, cfg, key", [
+    (["generate"], {**GEN_CFG, "families": [{**GAUSS, "kapa": 3.0}, GAUSS]}, "'kapa'"),
+    (["generate"], {**GEN_CFG, "d_u": 30.7}, "'d_u'"),
+    (["generate"], {**GEN_CFG, "seed": 1.7}, "'seed'"),
+    (["experiment"], {**COLD_CFG, "trials": "2"}, "'trials'"),
+    (["generate"], {**GEN_CFG, "families": [{"family": "binomial", "nuisance": "1"}, GAUSS]},
+     "'nuisance'"),
+    (["experiment"], {**COLD_CFG, "trials": 1.5}, "'trials'"),
+    (FIT_ARGS, {"solver": {"init_rank": 2.5}}, "'init_rank'"),
+    (["experiment"], {**COLD_CFG, "methods": "collective"}, "'methods'"),
+    ([*FIT_ARGS, "--lambda", "abc"], {}, "--lambda"),
+], ids=["family-key-typo", "d_u-float", "seed-float", "trials-str", "nuisance-str",
+        "trials-float", "init-rank-float", "methods-str", "lambda-flag-abc"])
+def test_config_value_fault_is_a_config_error_naming_its_key(tmp_path, capsys, argv, cfg, key):
+    gen = generate(tmp_path) if argv[0] == "fit" else None
+    argv = [a.format(gen=gen) for a in argv]
+    code = run([*argv, "--config", write_cfg(tmp_path, "bad.json", cfg),
+                "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda doc: doc["families"][0].update(kapa=3.0), "'kapa'"),
+    (lambda doc: doc.update(d_u=30.7), "'d_u'"),
+    (lambda doc: doc.update(d_v=[12, 10]), "'d_v'"),
+], ids=["family-key-typo", "d_u-float", "unknown-key"])
+def test_layout_fault_is_a_data_error_naming_its_key(tmp_path, capsys, edit, key):
+    gen = generate(tmp_path)
+    doc = json.loads((gen / "layout.json").read_text())
+    edit(doc)
+    (gen / "layout.json").write_text(json.dumps(doc))
+    code = main(["fit", "--obs", str(gen / "obs.csv"), "--layout", str(gen / "layout.json"),
+                 "--lambda", "1e-7", "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert key in capsys.readouterr().err

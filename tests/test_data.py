@@ -48,6 +48,19 @@ def test_layout_validation():
         BlockLayout(3, ())
     with pytest.raises(ValueError):
         BlockLayout(3, (2, 0))
+    # a non-integral size is named, not truncated
+    with pytest.raises(ValueError, match="layout d_vs must hold int64 integers, got 2.5"):
+        BlockLayout(4, (2.5, 3))
+    assert BlockLayout(4, (np.int64(2), 3.0)).d_vs == (2, 3)
+
+
+def test_synthetic_config_sizes_must_be_integers():
+    with pytest.raises(ValueError, match="d_vs must hold int64 integers, got 12.5"):
+        SyntheticConfig(10, (12.5,), (2,), ("gaussian",))
+    with pytest.raises(ValueError, match="ranks must hold int64 integers, got 1.5"):
+        SyntheticConfig(10, (12,), (1.5,), ("gaussian",))
+    cfg = SyntheticConfig(10, [np.int64(12)], [2.0], ["gaussian"])
+    assert cfg.d_vs == (12,) and cfg.ranks == (2,) and type(cfg.d_vs[0]) is int
 
 
 def test_mask_sample_extremes():

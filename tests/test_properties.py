@@ -1,7 +1,10 @@
 """Property tests: observation-set invariants and the builders that emit them
 in canonical order, the data term, file formats, the sparse-plus-low-rank
-operator, singular value thresholding and the solver's warm-start basis."""
+operator, singular value thresholding, the solver's warm-start basis and
+the JSON form of the config objects."""
 
+import dataclasses
+import json
 import tempfile
 from pathlib import Path
 
@@ -15,7 +18,9 @@ from heteromc import (
     BlockLayout,
     CollectiveMatrix,
     ExpFamilyModel,
+    ExperimentSpec,
     LipschitzLoss,
+    MetricRecord,
     ObservationSet,
     SamplingScheme,
     SolverConfig,
@@ -36,6 +41,7 @@ from heteromc import (
 from heteromc import io as hio
 from heteromc import objectives
 from heteromc.data import FACTOR_LAWS, _draw_factor
+from heteromc.jsonconf import from_json, to_json
 from heteromc.lowrank import SparsePlusLowRank, qr_orthonormalize
 from heteromc.objectives import DataTerm, solver_loss_terms
 from heteromc.solvers import _data_terms, _warm_basis
@@ -477,6 +483,112 @@ def test_layout_json_round_trip(layout, data):
         path = Path(tmp) / "layout.json"
         hio.save_layout(path, layout, fams)
         assert hio.load_layout(path) == (layout, fams)
+        assert path.read_text() == json.dumps(layout_doc_reference(layout, fams), indent=2) + "\n"
+
+
+# Reference writers: the hand-written per-class writers that to_json
+# replaced.  Their JSON is the file format, so the shared writer must
+# produce it byte for byte.
+def fields_dict_reference(obj, keys):
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        out[keys.get(f.name, f.name)] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def config_to_dict_reference(cfg):
+    out = {{"lam": "lambda"}.get(f.name, f.name): getattr(cfg, f.name)
+           for f in dataclasses.fields(cfg)}
+    if cfg.losses is not None:
+        out["losses"] = [dataclasses.asdict(l) for l in cfg.losses]
+    return out
+
+
+def model_to_dict_reference(model):
+    return {
+        "family": model.family,
+        "nuisance": model.nuisance,
+        "gamma": model.gamma,
+        "kappa": model.kappa,
+        "interval": list(model.interval) if model.interval is not None else None,
+    }
+
+
+def spec_to_dict_reference(spec):
+    out = fields_dict_reference(spec, {"fit_families": "families"})
+    out["solver"] = config_to_dict_reference(spec.solver)
+    fams = spec.fit_families
+    out["families"] = None if fams is None else [model_to_dict_reference(m) for m in fams]
+    return out
+
+
+def layout_doc_reference(layout, families):
+    return {
+        "d_u": layout.d_u,
+        "d_vs": list(layout.d_vs),
+        "families": [model_to_dict_reference(m) for m in families] if families else None,
+    }
+
+
+positive = st.floats(1e-6, 1e3)
+family_models = st.builds(dataclasses.replace, families,
+                          gamma=positive, kappa=st.floats(0.1, 10.0))
+solver_configs = st.builds(
+    SolverConfig,
+    lam=st.one_of(st.just("auto"), st.floats(0.0, 1.0), st.integers(0, 3)),
+    nu=st.floats(0.01, 0.99), epsilon=positive, max_iters=st.integers(1, 1000),
+    lipschitz=positive, gamma=positive, mode=st.sampled_from(["likelihood", "general_loss"]),
+    losses=st.one_of(st.none(), st.lists(losses, min_size=1, max_size=3).map(tuple)),
+    constant_c=positive, init_rank=st.one_of(st.none(), st.integers(1, 50)),
+    warm_slack=st.integers(0, 10), basis_drop=positive, smoothing=positive,
+    clip_final=st.booleans(), momentum=st.booleans(),
+)
+experiment_specs = synthetic_configs().flatmap(lambda syn: st.builds(
+    ExperimentSpec, st.just(syn.d_u), st.just(syn.d_vs), st.just(syn.ranks),
+    st.just(syn.factor_laws), st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
+    gamma=positive, trials=st.integers(1, 5), seed=seeds, solver=solver_configs,
+    methods=st.lists(st.sampled_from(["collective", "per_source"]), min_size=1, max_size=2),
+    shared_factors=st.booleans(), noise=st.sampled_from(["none", "model"]),
+    fit_families=st.one_of(st.none(), st.lists(family_models, min_size=1,
+                                                max_size=3).map(tuple)),
+    train_fraction=st.floats(0.1, 1.0), rel_lambda=st.one_of(st.none(), positive),
+    auto_lipschitz=st.booleans(), experiment_id=st.text(max_size=8),
+))
+
+
+@pytest.mark.parametrize("cls, objects, reference", [
+    (SolverConfig, solver_configs, config_to_dict_reference),
+    (ExperimentSpec, experiment_specs, spec_to_dict_reference),
+    (ExpFamilyModel, family_models, model_to_dict_reference),
+    (SyntheticConfig, synthetic_configs(), None),
+], ids=["solver", "experiment", "family", "synthetic"])
+@SETTINGS
+@given(data=st.data())
+def test_config_json_round_trip_matches_the_reference_writer(cls, objects, reference, data):
+    obj = data.draw(objects)
+    text = json.dumps(to_json(obj))
+    assert from_json(cls, json.loads(text), "config") == obj
+    if reference is not None:
+        assert text == json.dumps(reference(obj))
+
+
+maybe_nan = st.floats(allow_infinity=False)
+metric_records = st.builds(
+    MetricRecord, st.text(max_size=8), st.floats(0.01, 1.0), st.integers(0, 9),
+    st.sampled_from(["collective", "per_source"]), maybe_nan,
+    st.lists(maybe_nan, max_size=3).map(tuple), maybe_nan, st.integers(0, 50), positive,
+    maybe_nan, heldout_risk=st.one_of(st.none(), maybe_nan),
+    objective_trace=st.lists(maybe_nan, max_size=4).map(tuple),
+    error=st.one_of(st.none(), st.text(max_size=8)),
+)
+
+
+@SETTINGS
+@given(metric_records)
+def test_metric_record_json_matches_the_reference_writer(record):
+    assert (json.dumps(record.to_dict())
+            == json.dumps(fields_dict_reference(record, {"lambda_used": "lambda"})))
 
 
 def random_operator(m, n, r, density, rng):

@@ -320,6 +320,14 @@ def test_solver_config_round_trip():
         SolverConfig(epsilon=0.0).validate()
     with pytest.raises(ValueError):
         SolverConfig(mode="general_loss").validate()
+    # each range check names its field
+    for bad, field in [({"gamma": 0.0}, "gamma"), ({"gamma": -1.0}, "gamma"),
+                       ({"smoothing": 0.0}, "smoothing"),
+                       ({"init_rank": 2.5}, "init_rank"), ({"init_rank": 0}, "init_rank"),
+                       ({"warm_slack": 1.5}, "warm_slack"), ({"warm_slack": -1}, "warm_slack"),
+                       ({"max_iters": 10.0}, "max_iters")]:
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SolverConfig(**bad).validate()
 
 
 def test_partial_solver_dict_takes_field_defaults():
