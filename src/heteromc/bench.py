@@ -35,7 +35,7 @@ from .data import (
 from .families import ExpFamilyModel
 from .jsonconf import from_json, json_keys, to_json
 from .lowrank import _values, rank1_svd
-from .objectives import empirical_risk, map_binary_labels
+from .objectives import _TILE_ENTRIES, empirical_risk, map_binary_labels
 from .solvers import (
     FitResult,
     NumericalError,
@@ -46,15 +46,47 @@ from .solvers import (
 )
 
 
-def relative_error(w_hat, w_true) -> float:
-    """Frobenius error of the estimate relative to the full ground truth."""
+def _sq_sums(w_hat, w_true, starts=(0,)) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of (w_hat - w_true)^2 and of w_true^2 over each column block.
+
+    Block k holds the columns from ``starts[k]`` up to the next start.  The
+    sums run over row blocks of about ``_TILE_ENTRIES`` entries, so the only
+    temporary is one block-sized buffer for the difference, also for strided
+    views.
+    """
     hv, tv = _values(w_hat), _values(w_true)
     if hv.shape != tv.shape:
         raise ValueError("shapes disagree")
-    denom = np.linalg.norm(tv)
-    if denom == 0:
+    if tv.ndim != 2:
+        hv, tv = hv.reshape(-1, 1), tv.reshape(-1, 1)
+    d_u, big_d = tv.shape
+    rows = max(1, _TILE_ENTRIES // max(big_d, 1))
+    buf = np.empty((min(rows, d_u), big_d))
+    err, ref = np.zeros(big_d), np.zeros(big_d)
+    for r0 in range(0, d_u, rows):
+        t = tv[r0:r0 + rows]
+        d = np.subtract(hv[r0:r0 + rows], t, out=buf[:len(t)])
+        err += np.einsum("ij,ij->j", d, d)
+        ref += np.einsum("ij,ij->j", t, t)
+    bounds = list(zip(starts, (*starts[1:], big_d)))
+    return (np.array([err[lo:hi].sum() for lo, hi in bounds]),
+            np.array([ref[lo:hi].sum() for lo, hi in bounds]))
+
+
+def _ratio(err: float, ref: float) -> float:
+    if ref == 0:
         raise ValueError("ground truth is the zero matrix")
-    return float(np.linalg.norm(hv - tv) / denom)
+    return float(np.sqrt(err) / np.sqrt(ref))
+
+
+def relative_error(w_hat, w_true) -> float:
+    """Frobenius error of the estimate relative to the full ground truth.
+
+    Streams over row blocks: no array the size of the operands is formed,
+    not even for strided views such as one source's columns.
+    """
+    err, ref = _sq_sums(w_hat, w_true)
+    return _ratio(err[0], ref[0])
 
 
 @dataclass(frozen=True)
@@ -226,21 +258,21 @@ def _trial_record(spec: ExperimentSpec, p: float, trial: int, method: str,
     """Record of ``fit() -> (w_hat, fits)`` against ``truth``.
 
     Rank and wall time are summed over the fits; the weight and the
-    objective trace are the first fit's.  A fit that raises a numerical or
-    input error gives a record with NaN errors and the message in ``error``.
+    objective trace are the first fit's.  All errors come from one streamed
+    pass of :func:`_sq_sums`.  A fit that raises a numerical or input error
+    gives a record with NaN errors and the message in ``error``.
     """
     try:
         w_hat, fits = fit()
-        layout = truth.layout
+        err, ref = _sq_sums(w_hat, truth, truth.layout.col_offsets)
         return MetricRecord(
             experiment_id=spec.experiment_id,
             p=p,
             trial=trial,
             method=method,
-            re_collective=relative_error(w_hat, truth),
-            re_per_source=tuple(relative_error(w_hat[:, layout.block_cols(v)], truth.block(v))
-                                for v in range(layout.V)),
-            sq_error=float(np.sum((w_hat - truth.values) ** 2)) / truth.values.size,
+            re_collective=_ratio(err.sum(), ref.sum()),
+            re_per_source=tuple(map(_ratio, err, ref)),
+            sq_error=float(err.sum()) / truth.values.size,
             final_rank=sum(f.factors.rank for f in fits),
             wall_time=sum(f.wall_time for f in fits),
             lambda_used=fits[0].lambda_used,

@@ -113,10 +113,11 @@ def cmd_generate(args) -> int:
     p = args.p if args.p is not None else cfg.get("p")
     if p is None:
         raise ConfigError("a sampling probability p is required")
+    p = from_json(float, p, "config", "p")
     fams = cfg.get("families") or [{"family": "gaussian", "nuisance": 1.0}] * len(syn.d_vs)
     families = from_json(tuple[ExpFamilyModel, ...], fams, "config", "families")
     truth = generate_synthetic(syn)
-    obs = mask_sample(truth, SamplingScheme.uniform(float(p)),
+    obs = mask_sample(truth, SamplingScheme.uniform(p),
                       np.random.SeedSequence((syn.seed, 2)), families)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -181,8 +182,8 @@ def cmd_experiment(args) -> int:
 def cmd_coldstart(args) -> int:
     cfg = _load_config(args.config)
     spec = _experiment_spec(cfg, args)
-    target_v = cfg.get("target_v", 0)
-    records = run_cold_start(spec, int(target_v), jobs=args.jobs)
+    target_v = from_json(int, cfg.get("target_v", 0), "config", "target_v")
+    records = run_cold_start(spec, target_v, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_records(records, out)

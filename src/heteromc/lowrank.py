@@ -117,15 +117,18 @@ def qr_orthonormalize(m: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
         return m.copy()
     q, r = linalg.qr(m, mode="economic", check_finite=False)
     diag = np.diagonal(r)
-    q = q * np.where(diag < 0, -1.0, 1.0)
-    return q[:, np.abs(diag) > drop_tol]
+    q *= np.where(diag < 0, -1.0, 1.0)
+    keep = np.abs(diag) > drop_tol
+    return q if keep.all() else q[:, keep]
 
 
 def _subspace_gap(a: np.ndarray, b: np.ndarray) -> float:
     # ||A A^T - B B^T||_F for orthonormal A, B, in the cancellation-free
     # residual form ||A - B B^T A||_F^2 + ||B - A A^T B||_F^2
-    ra = a - b @ (b.T @ a)
-    rb = b - a @ (a.T @ b)
+    # (B^T A)^T = A^T B, so one k_b x k_a product serves both residuals
+    ba = b.T @ a
+    ra = a - b @ ba
+    rb = b - a @ ba.T
     return float(np.sqrt(np.sum(ra**2) + np.sum(rb**2)))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from heteromc import (
     summarize,
     theory_bound,
 )
-from heteromc.bench import _split
+from heteromc.bench import _FITTERS, _instance, _split, _trial_record
 from conftest import gaussian_instance
 
 
@@ -40,6 +41,60 @@ def test_relative_error_basics(rng):
         np.linalg.norm(b - a) / np.linalg.norm(a))
     with pytest.raises(ValueError):
         relative_error(a, np.zeros_like(a))
+    with pytest.raises(ValueError, match="shapes disagree"):
+        relative_error(a, a[:, :-1])
+    b[2, 3] = np.nan
+    assert math.isnan(relative_error(b, a))
+    assert math.isnan(relative_error(a, b))
+    # a vector goes through the same streamed pass as a column
+    assert relative_error(b[:, 0], a[:, 0]) == pytest.approx(
+        np.linalg.norm(b[:, 0] - a[:, 0]) / np.linalg.norm(a[:, 0]), rel=1e-12)
+
+
+def peak_bytes(fn, *args):
+    """Result of ``fn(*args)`` and the peak traced allocation during it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def unstreamed_relative_error(w_hat, w_true):
+    return np.linalg.norm(w_hat - w_true) / np.linalg.norm(w_true)
+
+
+def test_relative_error_streams_without_operand_sized_temporaries():
+    rng = np.random.default_rng(11)
+    truth = rng.normal(size=(2000, 1500))
+    w_hat = truth + 0.1 * rng.normal(size=truth.shape)
+    limit = truth.nbytes / 8
+    source = np.s_[:, 500:]  # a strided view, as one source's columns are
+    assert not truth[source].flags["C_CONTIGUOUS"]
+    for hv, tv in [(w_hat, truth), (w_hat[source], truth[source])]:
+        rel, peak = peak_bytes(relative_error, hv, tv)
+        assert peak < limit
+        assert rel == pytest.approx(unstreamed_relative_error(hv, tv), rel=1e-12)
+
+
+@pytest.mark.parametrize("method", ["collective", "per_source"])
+def test_trial_record_matches_the_unstreamed_errors(method):
+    spec = small_spec(d_vs=(16, 12, 9), ranks=(2, 2, 1),
+                      factor_laws=("gaussian",) * 3, methods=(method,))
+    truth, obs = _instance(spec, 0.8, 0, 0)
+    result = _FITTERS[method](spec, obs)
+    rec = _trial_record(spec, 0.8, 0, method, truth, lambda: result)
+    w_hat, layout = result[0], truth.layout
+    assert rec.error is None
+    assert rec.re_collective == pytest.approx(
+        unstreamed_relative_error(w_hat, truth.values), rel=1e-12)
+    assert rec.re_per_source == pytest.approx(
+        [unstreamed_relative_error(w_hat[:, layout.block_cols(v)], truth.block(v))
+         for v in range(layout.V)], rel=1e-12)
+    assert rec.sq_error == pytest.approx(
+        float(np.sum((w_hat - truth.values) ** 2)) / truth.values.size, rel=1e-12)
 
 
 def test_split_partition():

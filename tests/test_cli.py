@@ -406,8 +406,12 @@ def run(argv):
     (FIT_ARGS, {"solver": {"init_rank": 2.5}}, "'init_rank'"),
     (["experiment"], {**COLD_CFG, "methods": "collective"}, "'methods'"),
     ([*FIT_ARGS, "--lambda", "abc"], {}, "--lambda"),
+    (["generate"], {**GEN_CFG, "p": True}, "'p'"),
+    (["generate"], {**GEN_CFG, "p": "0.5"}, "'p'"),
+    (["coldstart"], {**COLD_CFG, "target_v": 0.7}, "'target_v'"),
 ], ids=["family-key-typo", "d_u-float", "seed-float", "trials-str", "nuisance-str",
-        "trials-float", "init-rank-float", "methods-str", "lambda-flag-abc"])
+        "trials-float", "init-rank-float", "methods-str", "lambda-flag-abc",
+        "p-bool", "p-numeric-str", "target-v-float"])
 def test_config_value_fault_is_a_config_error_naming_its_key(tmp_path, capsys, argv, cfg, key):
     gen = generate(tmp_path) if argv[0] == "fit" else None
     argv = [a.format(gen=gen) for a in argv]
@@ -416,6 +420,17 @@ def test_config_value_fault_is_a_config_error_naming_its_key(tmp_path, capsys, a
     assert code == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_integral_p_and_target_v_are_accepted(tmp_path):
+    # 1 is a number and an integer, so both values the CLI checks itself pass
+    out = generate(tmp_path, "gint", {**GEN_CFG, "p": 1})
+    assert len((out / "obs.csv").read_text().strip().splitlines()) == 1 + 30 * 22
+    code = main(["coldstart", "--config",
+                 write_cfg(tmp_path, "c.json", {**COLD_CFG, "target_v": 1}),
+                 "--out", str(tmp_path / "cold")])
+    assert code == EXIT_OK
+    assert (tmp_path / "cold" / "summary.csv").exists()
 
 
 @pytest.mark.parametrize("edit, key", [

@@ -13,7 +13,7 @@ from heteromc import (
     rank1_svd,
     svt_exact,
 )
-from heteromc.lowrank import SparsePlusLowRank, _refill
+from heteromc.lowrank import SparsePlusLowRank, _refill, _subspace_gap
 
 
 def random_low_rank(d, n, rank, rng, spectrum=None):
@@ -194,6 +194,66 @@ def test_qr_orthonormalize_drops_zero_column():
     e1[0] = 1.0
     q = qr_orthonormalize(np.hstack([e1, np.zeros((6, 1))]))
     assert q.shape == (6, 1)
+
+
+def copying_qr_orthonormalize(m, drop_tol=1e-10):
+    # reference: the earlier body, which copied Q for the signs and the drop
+    m = np.asarray(m, dtype=float)
+    if m.shape[1] == 0:
+        return m.copy()
+    q, r = linalg.qr(m, mode="economic", check_finite=False)
+    diag = np.diagonal(r)
+    q = q * np.where(diag < 0, -1.0, 1.0)
+    return q[:, np.abs(diag) > drop_tol]
+
+
+def rank_deficient(rng):
+    m = rng.normal(size=(40, 6))
+    return np.hstack([m, m[:, :2] + m[:, 2:4]])
+
+
+def with_zero_columns(rng):
+    m = rng.normal(size=(30, 5))
+    m[:, [1, 3]] = 0.0
+    return m
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: rng.normal(size=(50, 8)),
+    lambda rng: rng.normal(size=(7, 7)),
+    rank_deficient,
+    with_zero_columns,
+    lambda rng: np.zeros((9, 0)),
+], ids=["full-rank", "square", "rank-deficient", "zero-columns", "no-columns"])
+def test_qr_orthonormalize_matches_the_copying_form_bit_for_bit(rng, make):
+    m = make(rng)
+    q, ref = qr_orthonormalize(m), copying_qr_orthonormalize(m)
+    assert q.shape == ref.shape
+    assert np.array_equal(q, ref)
+    assert q.flags["F_CONTIGUOUS"] == ref.flags["F_CONTIGUOUS"]
+
+
+def two_product_gap(a, b):
+    ra = a - b @ (b.T @ a)
+    rb = b - a @ (a.T @ b)
+    return float(np.sqrt(np.sum(ra**2) + np.sum(rb**2)))
+
+
+@pytest.mark.parametrize("d, k_a, k_b", [(30, 5, 3), (30, 2, 9), (200, 17, 25), (8, 8, 1)])
+def test_subspace_gap_matches_the_two_product_form(rng, d, k_a, k_b):
+    a = qr_orthonormalize(rng.normal(size=(d, k_a)))
+    b = qr_orthonormalize(rng.normal(size=(d, k_b)))
+    assert _subspace_gap(a, b) == pytest.approx(two_product_gap(a, b), rel=1e-12, abs=1e-12)
+    assert _subspace_gap(b, a) == pytest.approx(two_product_gap(b, a), rel=1e-12, abs=1e-12)
+
+
+def test_subspace_gap_of_a_rotated_span_and_of_orthogonal_spans(rng):
+    a = qr_orthonormalize(rng.normal(size=(40, 6)))
+    rotation = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+    assert _subspace_gap(a, a @ rotation) <= 1e-12
+    basis = qr_orthonormalize(rng.normal(size=(40, 7)))
+    a, b = basis[:, :4], basis[:, 4:]
+    assert _subspace_gap(a, b) == pytest.approx(np.sqrt(4 + 3), rel=1e-12)
 
 
 def test_approx_svt_reports_an_unconverged_power_method(rng):
