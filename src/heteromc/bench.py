@@ -33,7 +33,7 @@ from .data import (
     observe_from_model,
 )
 from .families import ExpFamilyModel
-from .jsonconf import from_json, json_keys, to_json
+from .jsonconf import to_json
 from .lowrank import _values, rank1_svd
 from .objectives import _TILE_ENTRIES, empirical_risk, map_binary_labels
 from .solvers import (
@@ -142,19 +142,6 @@ class ExperimentSpec:
             return self.fit_families
         return tuple(ExpFamilyModel("gaussian", 1.0, gamma=self.gamma)
                      for _ in self.d_vs)
-
-    def to_dict(self) -> dict:
-        return to_json(self)
-
-    @classmethod
-    def keys(cls) -> frozenset[str]:
-        """The top-level JSON keys :meth:`from_dict` reads."""
-        return frozenset(json_keys(cls))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentSpec":
-        """Inverse of :meth:`to_dict`, by :func:`~heteromc.jsonconf.from_json`."""
-        return from_json(cls, d, "experiment")
 
 
 @dataclass
@@ -320,6 +307,7 @@ def _run_jobs(job, items, jobs: int) -> list[MetricRecord]:
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[MetricRecord]:
     """Sweep the p grid; one record per (p, trial, method)."""
+    spec.solver.validate()
     cells = [(p, p_idx, trial)
              for p_idx, p in enumerate(spec.p_grid)
              for trial in range(spec.trials)]
@@ -335,6 +323,7 @@ def run_cold_start(spec: ExperimentSpec, target_v: int, jobs: int = 1,
     the cold source, and records errors against the zeroed ground truth.
     With ``transform=False`` the scenario reduces to the plain comparison.
     """
+    spec.solver.validate()
     p = spec.p_grid[0]
 
     def one_trial(trial: int) -> list[MetricRecord]:

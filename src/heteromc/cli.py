@@ -88,10 +88,8 @@ def _experiment_spec(cfg: dict, args) -> ExperimentSpec:
     p_grid = [args.p] if args.p is not None else cfg.get("p_grid")
     if not p_grid:
         raise ConfigError("p_grid must be a nonempty list of probabilities")
-    spec = _read_spec(ExperimentSpec, cfg, args, p_grid=p_grid,
+    return _read_spec(ExperimentSpec, cfg, args, p_grid=p_grid,
                       solver=_solver_dict(cfg, args))
-    spec.solver.validate()
-    return spec
 
 
 def _write_records(records, out_dir: Path) -> None:

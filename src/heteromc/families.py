@@ -35,8 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .jsonconf import from_json, to_json
-
 FAMILIES = ("gaussian", "binomial", "gamma", "negbinomial", "poisson")
 
 _NEGATIVE_DOMAIN = frozenset({"gamma", "negbinomial"})
@@ -262,12 +260,3 @@ def sample(model: ExpFamilyModel, eta, rng):
     else:
         out = rng.poisson(np.exp(eta))
     return _unwrap(np.asarray(out, dtype=float))
-
-
-def model_to_dict(model: ExpFamilyModel) -> dict:
-    """Config-file form: lowercase family token plus parameter fields."""
-    return to_json(model)
-
-
-def model_from_dict(d: dict) -> ExpFamilyModel:
-    return from_json(ExpFamilyModel, d, "family")

@@ -4,6 +4,8 @@ Three drivers share one objective: a plain proximal-gradient step, an
 accelerated solver with exact SVT, and the main accelerated inexact solver
 that combines warm-started approximate SVT with a continuation schedule on
 the regularization weight and a restart whenever the objective increases.
+The two iterative drivers share one frame: set-up (:func:`_begin`), the
+stop test (:func:`_settled`) and the flags and result (:func:`_result`).
 
 The data term is normalized by d_u * D, so its gradient varies on the scale
 sup G'' / (d_u D).  The ``lipschitz`` knob defaults to 1, a valid bound
@@ -36,7 +38,7 @@ import numpy as np
 
 from .data import CollectiveMatrix, ObservationSet, estimate_mu
 from .families import strong_convexity_bounds
-from .jsonconf import from_json, to_json
+from .jsonconf import to_json
 from .lowrank import (
     SparsePlusLowRank,
     ThinFactors,
@@ -49,6 +51,7 @@ from .lowrank import (
 from .objectives import (
     DataTerm,
     LipschitzLoss,
+    _families,
     _likelihood_term,
     grad_neg_log_likelihood,
     lipschitz_grad_constant,
@@ -107,16 +110,17 @@ class SolverConfig:
     def validate(self) -> None:
         if not 0 < self.nu < 1:
             raise ValueError("nu must lie in (0, 1)")
-        for name in ("epsilon", "lipschitz", "basis_drop", "gamma", "smoothing"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("epsilon", "lipschitz", "basis_drop", "gamma", "smoothing",
+                     "constant_c"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name, least in (("max_iters", 1), ("warm_slack", 0), ("init_rank", 1)):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= least
                     or value is None and name == "init_rank"):
                 raise ValueError(f"{name} must be an integer >= {least}")
-        if self.lam != "auto" and float(self.lam) < 0:
-            raise ValueError("lambda must be nonnegative")
+        if self.lam != "auto" and not 0 <= float(self.lam) < math.inf:
+            raise ValueError("lambda must be nonnegative and finite")
         if self.mode not in ("likelihood", "general_loss"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "general_loss" and not self.losses:
@@ -131,7 +135,9 @@ class FitResult:
     ``input_rank_history`` the width of the subspace carried between
     iterations by the inexact solver (slack padding excluded), and
     ``restarts`` the iterations where the objective increased and the
-    momentum counter was reset.
+    momentum counter was reset.  ``objective_history`` starts with the
+    objective at the starting point in both drivers; ``rank_history`` starts
+    with its rank only in :func:`plais_impute`.
     """
 
     factors: ThinFactors
@@ -159,22 +165,11 @@ class FitResult:
         }
 
 
-def config_to_dict(cfg: SolverConfig) -> dict:
-    return to_json(cfg)
-
-
-def config_from_dict(d: dict) -> SolverConfig:
-    """Inverse of :func:`config_to_dict`, by :func:`~heteromc.jsonconf.from_json`."""
-    return from_json(SolverConfig, d, "solver")
-
-
 def lambda_heuristic(obs: ObservationSet, families=None, constant_c: float = 1.0) -> float:
     """Regularization weight 2c (U v K)(sqrt(mu) + log(d_u v D)^{3/2}) / (d_u D)."""
     if constant_c <= 0:
         raise ValueError("constant_c must be positive")
-    families = tuple(families) if families is not None else obs.families
-    if families is None:
-        raise ValueError("need family tags to size the regularization weight")
+    families = _families(obs, families)
     mu = estimate_mu(obs)
     u_gamma = max(math.sqrt(strong_convexity_bounds(m)[1]) for m in families)
     kappa = max(m.kappa for m in families)
@@ -227,14 +222,6 @@ def theory_bound(kind: str, params: dict) -> float:
 tight_lipschitz = lipschitz_grad_constant
 
 
-def resolve_lambda(obs: ObservationSet, cfg: SolverConfig) -> float:
-    if cfg.lam == "auto":
-        if cfg.mode == "likelihood":
-            return lambda_heuristic(obs, constant_c=cfg.constant_c)
-        return lambda_general_loss(obs, cfg.losses, constant_c=cfg.constant_c)
-    return float(cfg.lam)
-
-
 def _data_terms(obs: ObservationSet, cfg: SolverConfig):
     """``(term, value, grad)`` for the configured data term.
 
@@ -265,14 +252,44 @@ def _check_finite(value: float) -> float:
     return value
 
 
-def _finalize(factors: ThinFactors, cfg: SolverConfig, flags: list[str]) -> ThinFactors:
+def _begin(obs: ObservationSet, cfg: SolverConfig | None):
+    """Both drivers' set-up: ``(cfg, start, lam)`` and :func:`_data_terms`."""
+    cfg = cfg if cfg is not None else SolverConfig()
+    cfg.validate()
+    start = time.perf_counter()
+    if obs.n == 0 or not np.any(obs.y):
+        raise ValueError("solver needs nonzero observations to initialize")
+    if cfg.lam != "auto":
+        lam = float(cfg.lam)
+    elif cfg.mode == "likelihood":
+        lam = lambda_heuristic(obs, constant_c=cfg.constant_c)
+    else:
+        lam = lambda_general_loss(obs, cfg.losses, constant_c=cfg.constant_c)
+    return (cfg, start, lam, *_data_terms(obs, cfg))
+
+
+def _settled(f_next: float, f_cur: float, cfg: SolverConfig) -> bool:
+    """The drivers' stop test: the objective moved by at most ``epsilon``."""
+    return abs(f_next - f_cur) <= cfg.epsilon
+
+
+def _result(factors: ThinFactors, cfg: SolverConfig, start: float, lam: float,
+            terminated_by: str, power_capped: bool = False, **histories) -> FitResult:
+    """Flags, the ``clip_final`` step and the :class:`FitResult` of a finished solve."""
+    flags = []
+    if factors.rank == 0:
+        flags.append("zero_solution")
+    if power_capped:
+        flags.append("power_not_converged")
     if cfg.clip_final:
         w = factors.to_matrix()
         clipped = np.clip(w, -cfg.gamma, cfg.gamma)
         if not np.array_equal(clipped, w):
             flags.append("clipped")
-            return svt_exact(clipped, 0.0)
-    return factors
+            factors = svt_exact(clipped, 0.0)
+    return FitResult(factors=factors, wall_time=time.perf_counter() - start,
+                     terminated_by=terminated_by, lambda_used=lam, flags=flags,
+                     config=cfg, **histories)
 
 
 def apg_solve(obs: ObservationSet, cfg: SolverConfig | None = None) -> FitResult:
@@ -282,25 +299,16 @@ def apg_solve(obs: ObservationSet, cfg: SolverConfig | None = None) -> FitResult
     Nesterov momentum sequence, takes a gradient step of length
     1/lipschitz and soft-thresholds the singular values at lam/lipschitz.
     """
-    cfg = cfg if cfg is not None else SolverConfig()
-    cfg.validate()
-    start = time.perf_counter()
-    y_dense = obs.dense_y()
-    if obs.n == 0 or not np.any(y_dense):
-        raise ValueError("solver needs nonzero observations to initialize")
-    lam = resolve_lambda(obs, cfg)
+    cfg, start, lam, _, value, grad = _begin(obs, cfg)
     big_l = cfg.lipschitz
-    _, value, grad = _data_terms(obs, cfg)
-
-    w_prev = y_dense.copy()
-    w_cur = y_dense
+    w_cur = obs.dense_y()
+    w_prev = w_cur.copy()
     a_prev = a_cur = 1.0
     f_cur = _check_finite(value(w_cur) + lam * nuclear_norm(w_cur))
     objective_history = [f_cur]
     rank_history: list[int] = []
-    factors: ThinFactors | None = None
     terminated_by = "max_iters"
-    for _ in range(1, cfg.max_iters + 1):
+    for _ in range(cfg.max_iters):
         theta = (a_prev - 1.0) / a_cur if cfg.momentum else 0.0
         q = w_cur + theta * (w_cur - w_prev)
         z = q - grad(q) / big_l
@@ -311,28 +319,12 @@ def apg_solve(obs: ObservationSet, cfg: SolverConfig | None = None) -> FitResult
         objective_history.append(f_next)
         w_prev, w_cur = w_cur, w_next
         a_prev, a_cur = a_cur, 0.5 * (math.sqrt(4.0 * a_cur**2 + 1.0) + 1.0)
-        stop = abs(f_next - f_cur) <= cfg.epsilon
-        f_cur = f_next
-        if stop:
+        if _settled(f_next, f_cur, cfg):
             terminated_by = "tolerance"
             break
-    flags: list[str] = []
-    if factors is None:
-        factors = svt_exact(w_cur, 0.0)
-    if factors.rank == 0:
-        flags.append("zero_solution")
-    factors = _finalize(factors, cfg, flags)
-    return FitResult(
-        factors=factors,
-        rank_history=rank_history,
-        objective_history=objective_history,
-        restarts=[],
-        wall_time=time.perf_counter() - start,
-        terminated_by=terminated_by,
-        lambda_used=lam,
-        flags=flags,
-        config=cfg,
-    )
+        f_cur = f_next
+    return _result(factors, cfg, start, lam, terminated_by, rank_history=rank_history,
+                   objective_history=objective_history, restarts=[])
 
 
 def _warm_basis(v_cur: np.ndarray, v_prev: np.ndarray,
@@ -384,15 +376,9 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     ``iter_callback(t, lam_t, rank, objective)`` is invoked once per
     iteration when given.
     """
-    cfg = cfg if cfg is not None else SolverConfig()
-    cfg.validate()
-    start = time.perf_counter()
-    layout = obs.layout
-    if obs.n == 0 or not np.any(obs.y):
-        raise ValueError("solver needs nonzero observations to initialize")
+    cfg, start, lam, term, value, grad = _begin(obs, cfg)
     big_l = cfg.lipschitz
-    lam = resolve_lambda(obs, cfg)
-    term, value, grad = _data_terms(obs, cfg)
+    layout = obs.layout
     dense_z = obs.n > DENSE_Z_MIN_DENSITY * layout.d_u * layout.D
 
     u0, sigma1, v0 = rank1_svd(obs.to_csr())
@@ -448,31 +434,13 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
             iter_callback(t, lam_t, new_factors.rank, f_next)
         factors_prev, factors = factors, new_factors
         eta_prev, eta = eta, eta_next
-        stop = abs(f_next - f_cur) <= cfg.epsilon
         # a rank-0 collapse while lambda_t is still decaying is legitimate:
         # keep iterating so the continuation can revive the factors
-        continuation_active = (lam_t - lam) > 1e-9 * max(lam0 - lam, 0.0)
-        if new_factors.rank == 0 and continuation_active:
-            stop = False
-        f_cur = f_next
-        if stop:
+        if _settled(f_next, f_cur, cfg) and not (
+                new_factors.rank == 0 and lam_t - lam > 1e-9 * max(lam0 - lam, 0.0)):
             terminated_by = "tolerance"
             break
-    flags: list[str] = []
-    if factors.rank == 0:
-        flags.append("zero_solution")
-    if power_capped:
-        flags.append("power_not_converged")
-    factors = _finalize(factors, cfg, flags)
-    return FitResult(
-        factors=factors,
-        rank_history=rank_history,
-        objective_history=objective_history,
-        restarts=restarts,
-        wall_time=time.perf_counter() - start,
-        terminated_by=terminated_by,
-        lambda_used=lam,
-        input_rank_history=input_rank_history,
-        flags=flags,
-        config=cfg,
-    )
+        f_cur = f_next
+    return _result(factors, cfg, start, lam, terminated_by, power_capped,
+                   rank_history=rank_history, objective_history=objective_history,
+                   restarts=restarts, input_rank_history=input_rank_history)

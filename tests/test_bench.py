@@ -18,6 +18,7 @@ from heteromc import (
     theory_bound,
 )
 from heteromc.bench import _FITTERS, _instance, _split, _trial_record
+from heteromc.jsonconf import from_json, to_json
 from conftest import gaussian_instance
 
 
@@ -284,7 +285,7 @@ def test_experiment_spec_dict_round_trip():
     spec = small_spec(trials=3, shared_factors=True,
                       fit_families=(ExpFamilyModel("poisson"),
                                     ExpFamilyModel("binomial", 2)))
-    assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+    assert from_json(ExperimentSpec, to_json(spec), "experiment") == spec
 
 
 def test_failed_fits_give_error_records():
@@ -299,3 +300,12 @@ def test_failed_fits_give_error_records():
             assert math.isnan(r.re_collective) and math.isnan(r.sq_error)
             assert len(r.re_per_source) == 2 and all(map(math.isnan, r.re_per_source))
             assert r.final_rank == 0
+
+
+def test_invalid_solver_config_raises_instead_of_error_records():
+    # a config fault is the caller's, not one fit's, so it is not recorded
+    spec = small_spec(solver=SolverConfig(nu=1.5))
+    with pytest.raises(ValueError, match="^nu must"):
+        run_experiment(spec)
+    with pytest.raises(ValueError, match="^nu must"):
+        run_cold_start(spec, target_v=0)

@@ -409,9 +409,20 @@ def run(argv):
     (["generate"], {**GEN_CFG, "p": True}, "'p'"),
     (["generate"], {**GEN_CFG, "p": "0.5"}, "'p'"),
     (["coldstart"], {**COLD_CFG, "target_v": 0.7}, "'target_v'"),
+    # non-finite numbers arrive as floats, from a flag or as JSON NaN
+    ([*FIT_ARGS, "--lambda", "nan"], {}, "lambda"),
+    ([*FIT_ARGS, "--lambda", "inf"], {}, "lambda"),
+    ([*FIT_ARGS, "--epsilon", "nan"], {}, "epsilon"),
+    (FIT_ARGS, {"solver": {"lipschitz": math.nan}}, "lipschitz"),
+    (FIT_ARGS, {"solver": {"basis_drop": math.nan}}, "basis_drop"),
+    (FIT_ARGS, {"solver": {"smoothing": math.nan}}, "smoothing"),
+    (FIT_ARGS, {"solver": {"gamma": math.nan}}, "gamma"),
+    (FIT_ARGS, {"solver": {"lambda": "auto", "constant_c": -1}}, "constant_c"),
 ], ids=["family-key-typo", "d_u-float", "seed-float", "trials-str", "nuisance-str",
         "trials-float", "init-rank-float", "methods-str", "lambda-flag-abc",
-        "p-bool", "p-numeric-str", "target-v-float"])
+        "p-bool", "p-numeric-str", "target-v-float", "lambda-flag-nan",
+        "lambda-flag-inf", "epsilon-flag-nan", "lipschitz-nan", "basis-drop-nan",
+        "smoothing-nan", "gamma-nan", "constant-c-negative"])
 def test_config_value_fault_is_a_config_error_naming_its_key(tmp_path, capsys, argv, cfg, key):
     gen = generate(tmp_path) if argv[0] == "fit" else None
     argv = [a.format(gen=gen) for a in argv]

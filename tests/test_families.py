@@ -13,7 +13,7 @@ from heteromc import (
     sample,
     strong_convexity_bounds,
 )
-from heteromc.families import model_from_dict, model_to_dict
+from heteromc.jsonconf import from_json, to_json
 
 from conftest import ALL_FAMILIES, GAMMA_M, GAUSS, NEGBIN, POIS, family_grid
 
@@ -156,4 +156,4 @@ def test_sampler_reproducible():
 
 @pytest.mark.parametrize("model", ALL_FAMILIES, ids=lambda m: m.family)
 def test_model_dict_round_trip(model):
-    assert model_from_dict(model_to_dict(model)) == model
+    assert from_json(ExpFamilyModel, to_json(model), "family") == model

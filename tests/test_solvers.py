@@ -28,7 +28,7 @@ from heteromc import (
 from heteromc import solvers
 from heteromc.data import BlockLayout, ObservationSet, estimate_mu
 from heteromc.lowrank import ThinFactors
-from heteromc.solvers import config_from_dict, config_to_dict
+from heteromc.jsonconf import from_json, to_json
 
 from conftest import GAUSS, gaussian_instance
 
@@ -259,6 +259,26 @@ def test_clip_final_flag():
     assert "clipped" in fit.flags
 
 
+@pytest.mark.parametrize("driver, start_ranks", [(apg_solve, 0), (plais_impute, 1)],
+                         ids=["apg_solve", "plais_impute"])
+def test_both_drivers_share_flags_stop_and_histories(driver, start_ranks):
+    obs, _ = gaussian_instance(seed=21, p=0.9)
+    lip = tight_lipschitz(obs)
+    lam0 = lip * rank1_svd(obs.dense_y())[1]
+    zero = driver(obs, SolverConfig(lam=1.5 * lam0, lipschitz=lip, max_iters=50))
+    assert zero.factors.rank == 0
+    assert zero.flags[0] == "zero_solution"
+    clipped = driver(obs, SolverConfig(lam=1e-9, lipschitz=lip, gamma=0.2,
+                                       clip_final=True, max_iters=50))
+    assert clipped.factors.to_matrix().max() <= 0.2 + 1e-9
+    assert clipped.flags[-1] == "clipped"
+    one = driver(obs, SolverConfig(lam=1e-9, lipschitz=lip, epsilon=1e-30, max_iters=1))
+    assert one.terminated_by == "max_iters"
+    assert len(one.objective_history) == 2
+    # only plais_impute records the rank of its starting point
+    assert len(one.rank_history) == 1 + start_ranks
+
+
 def test_lambda_heuristic_hand_formula():
     layout = BlockLayout(100, (100,))
     full = CollectiveMatrix(layout, np.ones((100, 100)))
@@ -313,7 +333,7 @@ def test_solver_config_round_trip():
                        losses=(LipschitzLoss.quantile(0.25),), constant_c=0.5,
                        init_rank=12, warm_slack=3, basis_drop=1e-4,
                        smoothing=0.1, clip_final=True, momentum=False)
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert from_json(SolverConfig, to_json(cfg), "solver") == cfg
     with pytest.raises(ValueError):
         SolverConfig(nu=1.5).validate()
     with pytest.raises(ValueError):
@@ -333,11 +353,11 @@ def test_solver_config_round_trip():
 def test_partial_solver_dict_takes_field_defaults():
     # the solver section a config file may give: only the keys it sets
     d = {"lambda": 2.5e-5, "lipschitz": 1.6e-7, "init_rank": 25, "basis_drop": 1e-3}
-    assert config_from_dict(d) == SolverConfig(lam=2.5e-5, lipschitz=1.6e-7,
-                                               init_rank=25, basis_drop=1e-3)
+    assert from_json(SolverConfig, d, "solver") == SolverConfig(
+        lam=2.5e-5, lipschitz=1.6e-7, init_rank=25, basis_drop=1e-3)
     # "lam" is the field name, not its JSON key: a typo is named, not ignored
     with pytest.raises(ValueError, match="'lam'"):
-        config_from_dict({"lam": 0.1, "nu": 0.5})
+        from_json(SolverConfig, {"lam": 0.1, "nu": 0.5}, "solver")
 
 
 def test_lambda_calibration_sweep():
