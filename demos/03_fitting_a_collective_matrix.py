@@ -30,10 +30,12 @@ truth = generate_synthetic(cfg)
 families = tuple(ExpFamilyModel("gaussian", 1.0) for _ in range(3))
 obs = mask_sample(truth, SamplingScheme.uniform(0.5), 22, families)
 
-lip = tight_lipschitz(obs)  # data-scale gradient Lipschitz constant
+# the weight is sized by the gradient Lipschitz constant, which the solvers
+# also take as their step constant when none is given
+lip = tight_lipschitz(obs)
 lam = 0.01 * lip * rank1_svd(obs.dense_y())[1]
-solver_cfg = SolverConfig(lam=lam, lipschitz=lip, init_rank=15,
-                          basis_drop=1e-3, epsilon=1e-9, max_iters=300)
+solver_cfg = SolverConfig(lam=lam, init_rank=15, basis_drop=1e-3, epsilon=1e-9,
+                          max_iters=300)
 
 fit = plais_impute(obs, solver_cfg)
 print(f"stopped by {fit.terminated_by} after {len(fit.rank_history) - 1} "
@@ -48,8 +50,7 @@ print("recovered rank:", fit.factors.rank,
 print("relative error:", relative_error(fit.factors.to_matrix(), truth.values))
 
 # the exact-SVT accelerated driver reaches the same objective, more slowly
-apg = apg_solve(obs, SolverConfig(lam=lam, lipschitz=lip, epsilon=1e-9,
-                                  max_iters=300))
+apg = apg_solve(obs, SolverConfig(lam=lam, epsilon=1e-9, max_iters=300))
 print("\nexact-SVT accelerated driver:",
       f"{len(apg.rank_history)} iterations,",
       f"objective {apg.objective_history[-1]:.6f},",

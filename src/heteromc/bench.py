@@ -42,7 +42,6 @@ from .solvers import (
     SolverConfig,
     plais_impute,
     theory_bound,
-    tight_lipschitz,
 )
 
 
@@ -95,9 +94,8 @@ class ExperimentSpec:
 
     ``rel_lambda`` sizes the fit weight from the data as
     ``rel_lambda * sigma_1(Y_train) / (d_u D)``; leave it unset to use the
-    solver config's own weight (or its "auto" heuristic).  With
-    ``auto_lipschitz`` every sub-fit replaces the configured Lipschitz
-    constant by the data-scale one for its own layout.
+    solver config's own weight (or its "auto" heuristic).  An unset
+    ``lipschitz`` is worked out for each sub-fit's own data term.
     """
 
     d_u: int
@@ -115,7 +113,6 @@ class ExperimentSpec:
     fit_families: tuple[ExpFamilyModel, ...] | None = None
     train_fraction: float = 0.8
     rel_lambda: float | None = None
-    auto_lipschitz: bool = True
     experiment_id: str = "exp"
 
     JSON_KEYS = {"fit_families": "families"}
@@ -174,8 +171,6 @@ def _derive_seed(*parts) -> int:
 
 def _fit_config(spec: ExperimentSpec, obs_train: ObservationSet) -> SolverConfig:
     cfg = spec.solver
-    if spec.auto_lipschitz:
-        cfg = replace(cfg, lipschitz=tight_lipschitz(obs_train))
     if spec.rel_lambda is not None:
         # data-scale weight: a fraction of the observed spectral norm in
         # penalty units, independent of the family curvature

@@ -156,8 +156,8 @@ def lipschitz_grad_constant(obs: ObservationSet, families=None) -> float:
     """Gradient Lipschitz constant sup G'' / (d_u D) of the likelihood term.
 
     The curvature bound is taken over the families' evaluation intervals,
-    so the constant holds for parameters inside them.  It is also the
-    solvers' data-scale step constant, :func:`~heteromc.solvers.tight_lipschitz`.
+    so the constant holds for parameters inside them.  It is the likelihood
+    mode's step constant in :func:`~heteromc.solvers.tight_lipschitz`.
     """
     families = _families(obs, families)
     return max(strong_convexity_bounds(m)[1] for m in families) / _n_total(obs)
@@ -283,6 +283,11 @@ def solver_loss_terms(loss: LipschitzLoss, smoothing: float = 1e-2):
         "hinge loss has no Lipschitz gradient; the proximal solvers support "
         "logistic and smoothed quantile losses"
     )
+
+
+def solver_loss_curvature(loss: LipschitzLoss, smoothing: float = 1e-2) -> float:
+    """Lipschitz constant of :func:`solver_loss_terms`' gradient; hinge has none."""
+    return {"logistic": 0.25, "quantile": 1.0 / smoothing}[loss.kind]
 
 
 def map_binary_labels(obs: ObservationSet, losses) -> ObservationSet:

@@ -7,14 +7,6 @@ the regularization weight and a restart whenever the objective increases.
 The two iterative drivers share one frame: set-up (:func:`_begin`), the
 stop test (:func:`_settled`) and the flags and result (:func:`_result`).
 
-The data term is normalized by d_u * D, so its gradient varies on the scale
-sup G'' / (d_u D).  The ``lipschitz`` knob defaults to 1, a valid bound
-whenever that curvature ratio is below one, but step sizes (and the
-continuation thresholds, which are expressed in penalty units as
-``lipschitz * sigma_1``) only match the data scale when ``lipschitz`` is
-set near the true constant; :func:`tight_lipschitz` computes it and the
-benchmark harness uses it everywhere.
-
 The inexact solver keeps every iterate as thin factors and evaluates the
 data term on Omega from them.  Its SVT input Z = X - grad(X) / L, at the
 extrapolated point X, takes the gradient from X's entries on Omega and is
@@ -31,7 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal
 
 import numpy as np
@@ -57,6 +49,7 @@ from .objectives import (
     lipschitz_grad_constant,
     neg_log_likelihood,
     nuclear_norm,
+    solver_loss_curvature,
     solver_loss_terms,
 )
 
@@ -87,13 +80,15 @@ class SolverConfig:
     :func:`lambda_general_loss`.  ``nu`` is the continuation decay, and
     ``init_rank`` pads the first warm start of the inexact solver (set it to
     five times the expected rank to reproduce the learning-rank behaviour).
+    Steps have length 1/``lipschitz``; unset, it is the configured data
+    term's gradient Lipschitz constant, :func:`tight_lipschitz`.
     """
 
     lam: float | Literal["auto"] = "auto"
     nu: float = 0.7
     epsilon: float = 1e-6
     max_iters: int = 500
-    lipschitz: float = 1.0
+    lipschitz: float | None = None
     gamma: float = 1.0
     mode: str = "likelihood"
     losses: tuple[LipschitzLoss, ...] | None = None
@@ -112,7 +107,8 @@ class SolverConfig:
             raise ValueError("nu must lie in (0, 1)")
         for name in ("epsilon", "lipschitz", "basis_drop", "gamma", "smoothing",
                      "constant_c"):
-            if not 0 < getattr(self, name) < math.inf:
+            value = getattr(self, name)
+            if not (value is None and name == "lipschitz" or 0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite")
         for name, least in (("max_iters", 1), ("warm_slack", 0), ("init_rank", 1)):
             value = getattr(self, name)
@@ -125,6 +121,8 @@ class SolverConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "general_loss" and not self.losses:
             raise ValueError("general_loss mode needs per-source losses")
+        if any(l.kind == "hinge" for l in self.losses or ()):
+            raise ValueError("losses: hinge has no Lipschitz gradient; use logistic or quantile")
 
 
 @dataclass
@@ -217,9 +215,12 @@ def theory_bound(kind: str, params: dict) -> float:
     raise ValueError(f"unknown bound kind {kind!r}")
 
 
-# The data-scale step constant sup G'' / (d_u D) is the likelihood gradient's
-# Lipschitz constant; the solvers and the harness know it by this name.
-tight_lipschitz = lipschitz_grad_constant
+def tight_lipschitz(obs: ObservationSet, cfg: SolverConfig | None = None) -> float:
+    """Gradient Lipschitz constant of ``cfg``'s data term, the likelihood's by default."""
+    if cfg is None or cfg.mode == "likelihood":
+        return lipschitz_grad_constant(obs)
+    bound = max(solver_loss_curvature(l, cfg.smoothing) for l in cfg.losses)
+    return bound / (obs.layout.d_u * obs.layout.D)
 
 
 def _data_terms(obs: ObservationSet, cfg: SolverConfig):
@@ -259,6 +260,7 @@ def _begin(obs: ObservationSet, cfg: SolverConfig | None):
     start = time.perf_counter()
     if obs.n == 0 or not np.any(obs.y):
         raise ValueError("solver needs nonzero observations to initialize")
+    cfg = replace(cfg, lipschitz=cfg.lipschitz or tight_lipschitz(obs, cfg))
     if cfg.lam != "auto":
         lam = float(cfg.lam)
     elif cfg.mode == "likelihood":

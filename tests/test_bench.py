@@ -217,7 +217,7 @@ def test_general_loss_mode_records_heldout_risk():
         solver=SolverConfig(lam=1e-6, mode="general_loss",
                             losses=(LipschitzLoss.logistic(),),
                             lipschitz=0.25 / (30 * 20), max_iters=150),
-        rel_lambda=None, auto_lipschitz=False, noise="model",
+        rel_lambda=None, noise="model",
         fit_families=(ExpFamilyModel("binomial", 1),),
     )
     records = run_experiment(spec)
@@ -235,7 +235,7 @@ def test_cold_start_with_margin_losses_fits():
         solver=SolverConfig(lam=1e-6, mode="general_loss",
                             losses=(LipschitzLoss.logistic(), LipschitzLoss.logistic()),
                             lipschitz=0.25 / (30 * 30), max_iters=150),
-        rel_lambda=None, auto_lipschitz=False, noise="model",
+        rel_lambda=None, noise="model",
         fit_families=(ExpFamilyModel("binomial", 1), ExpFamilyModel("binomial", 1)),
     )
     records = run_cold_start(spec, target_v=0)
@@ -253,6 +253,19 @@ def test_per_source_fits_use_their_own_loss():
     obs = obs.with_y(np.where(obs.v == 1, obs.y > 0, obs.y))
     _, fits = _fit_per_source(spec, map_binary_labels(obs, losses))
     assert [fit.config.losses for fit in fits] == [(losses[0],), (losses[1],)]
+
+
+def test_every_sub_fit_steps_with_its_own_layouts_constant():
+    from heteromc import LipschitzLoss
+    # smoothed quantile: the gradient's Lipschitz constant is 1/smoothing over d_u d_v
+    losses = (LipschitzLoss.quantile(0.5), LipschitzLoss.quantile(0.3))
+    spec = small_spec(solver=SolverConfig(mode="general_loss", losses=losses, smoothing=0.05,
+                                          max_iters=50, basis_drop=1e-3))
+    _, obs = _instance(spec, 0.8, 0, 0)
+    for method, widths in (("collective", [obs.layout.D]), ("per_source", spec.d_vs)):
+        _, fits = _FITTERS[method](spec, obs)
+        assert [fit.config.lipschitz for fit in fits] == [
+            1.0 / (0.05 * spec.d_u * d_v) for d_v in widths]
 
 
 def test_map_binary_labels():
@@ -289,10 +302,11 @@ def test_experiment_spec_dict_round_trip():
 
 
 def test_failed_fits_give_error_records():
-    from heteromc import LipschitzLoss
-    # the proximal solvers reject the hinge loss, so every fit raises
-    spec = small_spec(methods=("collective", "per_source"), solver=SolverConfig(
-        mode="general_loss", losses=(LipschitzLoss.hinge(), LipschitzLoss.hinge())))
+    # an absurdly small step constant, which the harness honours, makes
+    # every fit diverge
+    spec = small_spec(methods=("collective", "per_source"), rel_lambda=None,
+                      solver=SolverConfig(lam=1e-9, lipschitz=1e-12, max_iters=200,
+                                          basis_drop=1e-3))
     for records in (run_experiment(spec), run_cold_start(spec, target_v=0)):
         assert [r.method for r in records] == ["collective", "per_source"]
         for r in records:

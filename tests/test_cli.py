@@ -418,11 +418,14 @@ def run(argv):
     (FIT_ARGS, {"solver": {"smoothing": math.nan}}, "smoothing"),
     (FIT_ARGS, {"solver": {"gamma": math.nan}}, "gamma"),
     (FIT_ARGS, {"solver": {"lambda": "auto", "constant_c": -1}}, "constant_c"),
+    # the hinge loss has no step constant, so the solvers cannot take it
+    (FIT_ARGS, {"solver": {"mode": "general_loss",
+                           "losses": [{"kind": "hinge"}, {"kind": "hinge"}]}}, "losses"),
 ], ids=["family-key-typo", "d_u-float", "seed-float", "trials-str", "nuisance-str",
         "trials-float", "init-rank-float", "methods-str", "lambda-flag-abc",
         "p-bool", "p-numeric-str", "target-v-float", "lambda-flag-nan",
         "lambda-flag-inf", "epsilon-flag-nan", "lipschitz-nan", "basis-drop-nan",
-        "smoothing-nan", "gamma-nan", "constant-c-negative"])
+        "smoothing-nan", "gamma-nan", "constant-c-negative", "hinge-loss"])
 def test_config_value_fault_is_a_config_error_naming_its_key(tmp_path, capsys, argv, cfg, key):
     gen = generate(tmp_path) if argv[0] == "fit" else None
     argv = [a.format(gen=gen) for a in argv]

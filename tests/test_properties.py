@@ -37,6 +37,7 @@ from heteromc import (
     rank1_svd,
     risk_subgradient,
     svt_exact,
+    tight_lipschitz,
 )
 from heteromc import io as hio
 from heteromc import objectives
@@ -401,6 +402,33 @@ def test_margin_labels_checked_when_the_term_is_built():
         _data_terms(obs, cfg)
 
 
+@SETTINGS
+@given(observation_sets(tagged=True), st.booleans(), st.data())
+def test_step_constant_bounds_the_gradient_change(obs, likelihood, data):
+    # |g(a) - g(b)| <= L |a - b| entrywise on Omega, with L = tight_lipschitz:
+    # every family inside its evaluation interval, and logistic and
+    # smoothed quantile at any smoothing and tau
+    rng = np.random.default_rng(data.draw(seeds))
+    if likelihood:
+        cfg = SolverConfig()
+        lo, hi = np.array([m.eval_interval for m in obs.families])[obs.v].T
+        a, b = rng.uniform(lo, hi), rng.uniform(lo, hi)
+    else:
+        chosen = tuple(data.draw(losses.filter(lambda l: l.kind != "hinge"))
+                       for _ in obs.layout.d_vs)
+        obs = _labelled(obs, chosen)
+        cfg = SolverConfig(mode="general_loss", losses=chosen,
+                           smoothing=data.draw(st.floats(1e-3, 10.0)))
+        scale = cfg.smoothing * data.draw(st.sampled_from([0.1, 1.0, 10.0]))
+        a, b = obs.y + scale * rng.normal(size=(2, obs.n))
+    term = _data_terms(obs, cfg)[0]
+    ga, gb = term.grad_on_omega(a), term.grad_on_omega(b)
+    n = obs.layout.d_u * obs.layout.D
+    rounding = 1e-12 * (np.abs(ga) + np.abs(gb) + (1.0 + np.abs(obs.y)) / n)
+    assert np.all(np.abs(ga - gb) <= tight_lipschitz(obs, cfg) * np.abs(a - b) * (1 + 1e-9)
+                  + rounding)
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -553,7 +581,7 @@ experiment_specs = synthetic_configs().flatmap(lambda syn: st.builds(
     fit_families=st.one_of(st.none(), st.lists(family_models, min_size=1,
                                                 max_size=3).map(tuple)),
     train_fraction=st.floats(0.1, 1.0), rel_lambda=st.one_of(st.none(), positive),
-    auto_lipschitz=st.booleans(), experiment_id=st.text(max_size=8),
+    experiment_id=st.text(max_size=8),
 ))
 
 

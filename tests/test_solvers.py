@@ -461,3 +461,47 @@ def test_plais_without_momentum_never_extrapolates(monkeypatch):
     fit = plais_impute(obs, replace(cfg, momentum=False))
     assert fit.terminated_by == "tolerance"
     assert thetas and set(thetas) == {0.0}
+
+
+def _smooth_loss_setup(kind):
+    """Instance and config, with its hand-written step constant, of
+    test_plais_general_loss_logistic, test_plais_smoothed_quantile_runs or
+    the general-loss case of :func:`_sparse_fit_setup`."""
+    if kind == "logistic":
+        rng = np.random.default_rng(16)
+        syn = SyntheticConfig(30, (20, 16), (2, 2), ("gaussian", "gaussian"), seed=17)
+        truth = generate_synthetic(syn)
+        layout = truth.layout
+        labels = np.where(rng.random((30, layout.D)) < 1 / (1 + np.exp(-4 * truth.values)),
+                          1.0, -1.0)
+        obs = mask_sample(CollectiveMatrix(layout, labels), SamplingScheme.uniform(0.8), 18)
+        return obs, SolverConfig(lam="auto", constant_c=0.02, mode="general_loss",
+                                 losses=(LipschitzLoss.logistic(),) * 2,
+                                 lipschitz=0.25 / (30 * layout.D), max_iters=200)
+    if kind == "quantile":
+        obs, truth = gaussian_instance(d_u=20, d_vs=(14,), ranks=(2,), seed=19, p=0.9)
+        return obs, SolverConfig(lam=1e-7, mode="general_loss",
+                                 losses=(LipschitzLoss.quantile(0.5),), smoothing=0.05,
+                                 lipschitz=1.0 / (0.05 * 20 * truth.layout.D), max_iters=300)
+    return _sparse_fit_setup("general_loss")
+
+
+@pytest.mark.parametrize("kind", ["logistic", "quantile", "sparse_quantile"])
+def test_derived_step_constant_equals_the_hand_written_ones(kind):
+    obs, cfg = _smooth_loss_setup(kind)
+    assert tight_lipschitz(obs, cfg) == cfg.lipschitz
+
+
+@pytest.mark.parametrize("driver", [apg_solve, plais_impute])
+@pytest.mark.parametrize("mode", ["curved", "logistic", "quantile"])
+def test_unset_lipschitz_steps_with_the_data_terms_constant(driver, mode):
+    obs, cfg = _sparse_fit_setup(mode) if mode == "curved" else _smooth_loss_setup(mode)
+    cfg = replace(cfg, lipschitz=None, max_iters=60)
+    fit = driver(obs, cfg)
+    assert fit.config.lipschitz == tight_lipschitz(obs, cfg)
+    explicit = driver(obs, replace(cfg, lipschitz=tight_lipschitz(obs, cfg)))
+    assert fit.objective_history == explicit.objective_history
+    assert fit.rank_history == explicit.rank_history
+    for got, want in zip((fit.factors.u, fit.factors.sigma, fit.factors.v),
+                         (explicit.factors.u, explicit.factors.sigma, explicit.factors.v)):
+        assert np.array_equal(got, want)
