@@ -302,7 +302,6 @@ def _run_jobs(job, items, jobs: int) -> list[MetricRecord]:
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[MetricRecord]:
     """Sweep the p grid; one record per (p, trial, method)."""
-    spec.solver.validate()
     cells = [(p, p_idx, trial)
              for p_idx, p in enumerate(spec.p_grid)
              for trial in range(spec.trials)]
@@ -318,7 +317,6 @@ def run_cold_start(spec: ExperimentSpec, target_v: int, jobs: int = 1,
     the cold source, and records errors against the zeroed ground truth.
     With ``transform=False`` the scenario reduces to the plain comparison.
     """
-    spec.solver.validate()
     p = spec.p_grid[0]
 
     def one_trial(trial: int) -> list[MetricRecord]:

@@ -19,6 +19,7 @@ import numpy as np
 from . import io as hio
 from .bench import (
     ExperimentSpec,
+    _bound_at,
     curve_table,
     run_cold_start,
     run_experiment,
@@ -130,7 +131,6 @@ def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg)
     sc = from_json(SolverConfig, _solver_dict(cfg, args), "solver")
-    sc.validate()
     obs_path = args.obs or cfg.get("obs")
     layout_path = args.layout or cfg.get("layout")
     if not obs_path or not layout_path:
@@ -168,6 +168,7 @@ def cmd_fit(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
     spec = _experiment_spec(cfg, args)
+    _bound_at(cfg.get("bound_params"), spec.p_grid[0])  # a bad key fails before the run
     records = run_experiment(spec, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -36,11 +36,10 @@ def _n_total(obs: ObservationSet) -> int:
     return obs.layout.d_u * obs.layout.D
 
 
-def _families(obs: ObservationSet, families=None):
-    families = families if families is not None else obs.families
-    if families is None:
+def _families(obs: ObservationSet):
+    if obs.families is None:
         raise ValueError("observation set carries no family tags")
-    return tuple(families)
+    return obs.families
 
 
 class DataTerm:
@@ -152,15 +151,14 @@ def grad_neg_log_likelihood(obs: ObservationSet, w) -> CollectiveMatrix:
     return CollectiveMatrix(obs.layout, _likelihood_term(obs).grad(w))
 
 
-def lipschitz_grad_constant(obs: ObservationSet, families=None) -> float:
+def lipschitz_grad_constant(obs: ObservationSet) -> float:
     """Gradient Lipschitz constant sup G'' / (d_u D) of the likelihood term.
 
     The curvature bound is taken over the families' evaluation intervals,
     so the constant holds for parameters inside them.  It is the likelihood
     mode's step constant in :func:`~heteromc.solvers.tight_lipschitz`.
     """
-    families = _families(obs, families)
-    return max(strong_convexity_bounds(m)[1] for m in families) / _n_total(obs)
+    return max(strong_convexity_bounds(m)[1] for m in _families(obs)) / _n_total(obs)
 
 
 def grad_operator_norm(obs: ObservationSet, w) -> float:
@@ -341,9 +339,9 @@ def objective_value(obs: ObservationSet, w, lam: float, mode: str = "likelihood"
     return ObjectiveValue(data, penalty, data + lam * penalty, lam)
 
 
-def bregman_fit(obs: ObservationSet, w_hat, w_true, families=None) -> float:
+def bregman_fit(obs: ObservationSet, w_hat, w_true) -> float:
     """Masked Bregman discrepancy (1/(d_u D)) sum_Omega d_G(w_hat, w_true)."""
-    pairs = [(partial(_bregman_to, m), None) for m in _families(obs, families)]
+    pairs = [(partial(_bregman_to, m), None) for m in _families(obs)]
     term = DataTerm(obs, pairs)
     return term.value(w_hat, y=term.gather(w_true))
 

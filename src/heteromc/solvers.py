@@ -65,6 +65,8 @@ from .objectives import (
 # desk-scale sizes need the dense form; the crossover sits between 0.05
 # and 0.1.
 DENSE_Z_MIN_DENSITY = 0.075
+# Random columns added to each warm start of plais_impute's approximate SVT.
+WARM_SLACK = 5
 
 
 class NumericalError(RuntimeError):
@@ -73,15 +75,15 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tuning knobs shared by the solvers.
+    """Tuning knobs shared by the solvers, checked when the config is built.
 
     ``lam`` may be the string ``"auto"``, in which case the regularization
     weight comes from :func:`lambda_heuristic` (likelihood mode) or
-    :func:`lambda_general_loss`.  ``nu`` is the continuation decay, and
-    ``init_rank`` pads the first warm start of the inexact solver (set it to
-    five times the expected rank to reproduce the learning-rank behaviour).
-    Steps have length 1/``lipschitz``; unset, it is the configured data
-    term's gradient Lipschitz constant, :func:`tight_lipschitz`.
+    :func:`lambda_general_loss`; ``losses`` are read in general_loss mode only.
+    ``nu`` is the continuation decay, and ``init_rank`` pads the first warm
+    start of the inexact solver (five times the expected rank reproduces the
+    learning-rank behaviour).  Steps have length 1/``lipschitz``; unset, it
+    is the configured data term's gradient Lipschitz constant, :func:`tight_lipschitz`.
     """
 
     lam: float | Literal["auto"] = "auto"
@@ -89,45 +91,42 @@ class SolverConfig:
     epsilon: float = 1e-6
     max_iters: int = 500
     lipschitz: float | None = None
-    gamma: float = 1.0
     mode: str = "likelihood"
     losses: tuple[LipschitzLoss, ...] | None = None
     constant_c: float = 1.0
     init_rank: int | None = None
-    warm_slack: int = 5
     basis_drop: float = 1e-10
     smoothing: float = 1e-2
-    clip_final: bool = False
-    momentum: bool = True
 
     JSON_KEYS = {"lam": "lambda"}
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0 < self.nu < 1:
             raise ValueError("nu must lie in (0, 1)")
-        for name in ("epsilon", "lipschitz", "basis_drop", "gamma", "smoothing",
-                     "constant_c"):
+        for name in ("epsilon", "lipschitz", "basis_drop", "smoothing", "constant_c"):
             value = getattr(self, name)
             if not (value is None and name == "lipschitz" or 0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite")
-        for name, least in (("max_iters", 1), ("warm_slack", 0), ("init_rank", 1)):
+        for name in ("max_iters", "init_rank"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least
+            if not (isinstance(value, numbers.Integral) and value >= 1
                     or value is None and name == "init_rank"):
-                raise ValueError(f"{name} must be an integer >= {least}")
+                raise ValueError(f"{name} must be an integer >= 1")
         if self.lam != "auto" and not 0 <= float(self.lam) < math.inf:
             raise ValueError("lambda must be nonnegative and finite")
         if self.mode not in ("likelihood", "general_loss"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "general_loss" and not self.losses:
             raise ValueError("general_loss mode needs per-source losses")
+        if self.mode == "likelihood" and self.losses is not None:
+            raise ValueError("losses are read only in general_loss mode")
         if any(l.kind == "hinge" for l in self.losses or ()):
             raise ValueError("losses: hinge has no Lipschitz gradient; use logistic or quantile")
 
 
 @dataclass
 class FitResult:
-    """Full trace of one solve.
+    """Full trace of one solve; ``factors`` is the last iterate, as the loop left it.
 
     ``rank_history`` records the surviving rank of each accepted iterate,
     ``input_rank_history`` the width of the subspace carried between
@@ -163,11 +162,11 @@ class FitResult:
         }
 
 
-def lambda_heuristic(obs: ObservationSet, families=None, constant_c: float = 1.0) -> float:
+def lambda_heuristic(obs: ObservationSet, constant_c: float = 1.0) -> float:
     """Regularization weight 2c (U v K)(sqrt(mu) + log(d_u v D)^{3/2}) / (d_u D)."""
     if constant_c <= 0:
         raise ValueError("constant_c must be positive")
-    families = _families(obs, families)
+    families = _families(obs)
     mu = estimate_mu(obs)
     u_gamma = max(math.sqrt(strong_convexity_bounds(m)[1]) for m in families)
     kappa = max(m.kappa for m in families)
@@ -187,10 +186,10 @@ def lambda_general_loss(obs: ObservationSet, losses, constant_c: float = 1.0) ->
     return 2.0 * constant_c * rho * (math.sqrt(mu) + log_term) / (d_u * big_d)
 
 
-def lambda_calibration_sweep(obs: ObservationSet, families=None,
+def lambda_calibration_sweep(obs: ObservationSet,
                              constants=(0.25, 0.5, 1.0, 2.0, 4.0)) -> dict[float, float]:
     """Heuristic weight at a ladder of constants, for calibration runs."""
-    return {c: lambda_heuristic(obs, families, constant_c=c) for c in constants}
+    return {c: lambda_heuristic(obs, constant_c=c) for c in constants}
 
 
 def theory_bound(kind: str, params: dict) -> float:
@@ -200,6 +199,10 @@ def theory_bound(kind: str, params: dict) -> float:
     likelihood estimator, ``kind="general"`` the excess-risk rate for
     Lipschitz losses.  Only used to draw curves next to empirical errors.
     """
+    known = {"constant_c", "d_u", "D", "p", "rank", "mu", "gamma", "U2", "K", "L2",
+             "rho", "varsigma"}
+    if unknown := sorted(set(params) - known):
+        raise ValueError(f"unknown bound key(s): {', '.join(map(repr, unknown))}")
     c = params.get("constant_c", 1.0)
     d_u, big_d = params["d_u"], params["D"]
     p, rank, mu = params["p"], params["rank"], params["mu"]
@@ -256,7 +259,6 @@ def _check_finite(value: float) -> float:
 def _begin(obs: ObservationSet, cfg: SolverConfig | None):
     """Both drivers' set-up: ``(cfg, start, lam)`` and :func:`_data_terms`."""
     cfg = cfg if cfg is not None else SolverConfig()
-    cfg.validate()
     start = time.perf_counter()
     if obs.n == 0 or not np.any(obs.y):
         raise ValueError("solver needs nonzero observations to initialize")
@@ -277,18 +279,12 @@ def _settled(f_next: float, f_cur: float, cfg: SolverConfig) -> bool:
 
 def _result(factors: ThinFactors, cfg: SolverConfig, start: float, lam: float,
             terminated_by: str, power_capped: bool = False, **histories) -> FitResult:
-    """Flags, the ``clip_final`` step and the :class:`FitResult` of a finished solve."""
+    """Flags and the :class:`FitResult` of a finished solve."""
     flags = []
     if factors.rank == 0:
         flags.append("zero_solution")
     if power_capped:
         flags.append("power_not_converged")
-    if cfg.clip_final:
-        w = factors.to_matrix()
-        clipped = np.clip(w, -cfg.gamma, cfg.gamma)
-        if not np.array_equal(clipped, w):
-            flags.append("clipped")
-            factors = svt_exact(clipped, 0.0)
     return FitResult(factors=factors, wall_time=time.perf_counter() - start,
                      terminated_by=terminated_by, lambda_used=lam, flags=flags,
                      config=cfg, **histories)
@@ -311,7 +307,7 @@ def apg_solve(obs: ObservationSet, cfg: SolverConfig | None = None) -> FitResult
     rank_history: list[int] = []
     terminated_by = "max_iters"
     for _ in range(cfg.max_iters):
-        theta = (a_prev - 1.0) / a_cur if cfg.momentum else 0.0
+        theta = (a_prev - 1.0) / a_cur
         q = w_cur + theta * (w_cur - w_prev)
         z = q - grad(q) / big_l
         factors = svt_exact(z, lam / big_l)
@@ -360,9 +356,9 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     threshold sweeps from sigma_1(Y) to lam/lipschitz.  The approximate SVT
     is warm-started from the span of the right bases of the last two
     iterates, padded with random columns to ``init_rank`` on the first
-    iteration and by ``warm_slack`` columns throughout.  The extrapolation
-    weight is theta = (c - 1) / (c + 2) with ``momentum`` and 0 without;
-    the counter c resets whenever the objective at the target weight
+    iteration and by :data:`WARM_SLACK` columns throughout.  The
+    extrapolation weight is theta = (c - 1) / (c + 2), 0 at c = 1; the
+    counter c resets to 1 whenever the objective at the target weight
     increases.  Iterations stop when that objective's change falls within
     ``epsilon``.
 
@@ -402,7 +398,7 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     for t in range(1, cfg.max_iters + 1):
         delta_t = cfg.nu**t * delta0
         lam_t = cfg.nu**t * (lam0 - lam) + lam
-        theta = (c - 1.0) / (c + 2.0) if cfg.momentum else 0.0
+        theta = (c - 1.0) / (c + 2.0)
         a, b = _extrapolate(factors, factors_prev, theta)
         eta_x = (1.0 + theta) * eta - theta * eta_prev
         if dense_z:
@@ -419,7 +415,7 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
         if basis.shape[1] > width_cap:
             basis = basis[:, :width_cap]
         input_rank_history.append(basis.shape[1])
-        padded = _refill(basis, min(basis.shape[1] + cfg.warm_slack, width_cap),
+        padded = _refill(basis, min(basis.shape[1] + WARM_SLACK, width_cap),
                          np.random.default_rng((8082, t)))
         new_factors, converged = approx_svt(z, padded, lam_t / big_l, delta_t)
         power_capped = power_capped or not converged

@@ -317,9 +317,7 @@ def test_failed_fits_give_error_records():
 
 
 def test_invalid_solver_config_raises_instead_of_error_records():
-    # a config fault is the caller's, not one fit's, so it is not recorded
-    spec = small_spec(solver=SolverConfig(nu=1.5))
+    # a config fault is the caller's, not one fit's: it raises where the
+    # config is built, before any experiment can run and record it
     with pytest.raises(ValueError, match="^nu must"):
-        run_experiment(spec)
-    with pytest.raises(ValueError, match="^nu must"):
-        run_cold_start(spec, target_v=0)
+        small_spec(solver=SolverConfig(nu=1.5))

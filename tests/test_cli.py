@@ -416,16 +416,28 @@ def run(argv):
     (FIT_ARGS, {"solver": {"lipschitz": math.nan}}, "lipschitz"),
     (FIT_ARGS, {"solver": {"basis_drop": math.nan}}, "basis_drop"),
     (FIT_ARGS, {"solver": {"smoothing": math.nan}}, "smoothing"),
-    (FIT_ARGS, {"solver": {"gamma": math.nan}}, "gamma"),
+    # a removed solver knob is an unknown key
+    (FIT_ARGS, {"solver": {"momentum": False}}, "momentum"),
     (FIT_ARGS, {"solver": {"lambda": "auto", "constant_c": -1}}, "constant_c"),
     # the hinge loss has no step constant, so the solvers cannot take it
     (FIT_ARGS, {"solver": {"mode": "general_loss",
                            "losses": [{"kind": "hinge"}, {"kind": "hinge"}]}}, "losses"),
+    # losses are read only in general_loss mode, so naming them elsewhere is a fault
+    (FIT_ARGS, {"solver": {"lambda": 1e-5,
+                           "losses": [{"kind": "logistic"}, {"kind": "logistic"}]}}, "losses"),
+    # a bound parameter neither rate reads is named, before any fit runs
+    (["bounds"], {"params": {"rank": 5, "p": 0.5, "d_u": 300, "D": 300, "mu": 600,
+                             "gamma": 1.0, "L2": 1.0, "U2": 1.0, "constnt_c": 50.0}},
+     "'constnt_c'"),
+    (["experiment"], {**COLD_CFG, "bound_params": {"rank": 1, "d_u": 20, "D": 16,
+                                                   "gamma": 1.0, "L2": 1.0, "U2": 1.0,
+                                                   "constnt_c": 50.0}}, "'constnt_c'"),
 ], ids=["family-key-typo", "d_u-float", "seed-float", "trials-str", "nuisance-str",
         "trials-float", "init-rank-float", "methods-str", "lambda-flag-abc",
         "p-bool", "p-numeric-str", "target-v-float", "lambda-flag-nan",
         "lambda-flag-inf", "epsilon-flag-nan", "lipschitz-nan", "basis-drop-nan",
-        "smoothing-nan", "gamma-nan", "constant-c-negative", "hinge-loss"])
+        "smoothing-nan", "removed-momentum", "constant-c-negative", "hinge-loss",
+        "likelihood-losses", "bounds-key-typo", "bound-params-key-typo"])
 def test_config_value_fault_is_a_config_error_naming_its_key(tmp_path, capsys, argv, cfg, key):
     gen = generate(tmp_path) if argv[0] == "fit" else None
     argv = [a.format(gen=gen) for a in argv]

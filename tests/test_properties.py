@@ -562,15 +562,19 @@ def layout_doc_reference(layout, families):
 positive = st.floats(1e-6, 1e3)
 family_models = st.builds(dataclasses.replace, families,
                           gamma=positive, kappa=st.floats(0.1, 10.0))
-solver_configs = st.builds(
-    SolverConfig,
+solver_knobs = dict(
     lam=st.one_of(st.just("auto"), st.floats(0.0, 1.0), st.integers(0, 3)),
     nu=st.floats(0.01, 0.99), epsilon=positive, max_iters=st.integers(1, 1000),
-    lipschitz=positive, gamma=positive, mode=st.sampled_from(["likelihood", "general_loss"]),
-    losses=st.one_of(st.none(), st.lists(losses, min_size=1, max_size=3).map(tuple)),
-    constant_c=positive, init_rank=st.one_of(st.none(), st.integers(1, 50)),
-    warm_slack=st.integers(0, 10), basis_drop=positive, smoothing=positive,
-    clip_final=st.booleans(), momentum=st.booleans(),
+    lipschitz=positive, constant_c=positive,
+    init_rank=st.one_of(st.none(), st.integers(1, 50)), basis_drop=positive,
+    smoothing=positive,
+)
+# a config is checked when built, so mode and losses are drawn together
+solver_configs = st.one_of(
+    st.builds(SolverConfig, mode=st.just("likelihood"), losses=st.none(), **solver_knobs),
+    st.builds(SolverConfig, mode=st.just("general_loss"),
+              losses=st.lists(losses.filter(lambda l: l.kind != "hinge"),
+                              min_size=1, max_size=3).map(tuple), **solver_knobs),
 )
 experiment_specs = synthetic_configs().flatmap(lambda syn: st.builds(
     ExperimentSpec, st.just(syn.d_u), st.just(syn.d_vs), st.just(syn.ranks),

@@ -83,18 +83,16 @@ def test_apg_huge_lambda_gives_zero():
         objective_value(obs, np.zeros(obs.dense_y().shape), lam).total)
 
 
-def test_apg_without_momentum_is_pg():
+def test_apg_first_step_is_pg():
+    # the extrapolation weight is 0 at the first step
     obs, _ = gaussian_instance(seed=6, p=0.9)
     lip = tight_lipschitz(obs)
     lam = data_scale_lambda(obs, lip)
-    fit = apg_solve(obs, SolverConfig(lam=lam, lipschitz=lip, momentum=False,
-                                      max_iters=25, epsilon=1e-30))
-    w = CollectiveMatrix(obs.layout, obs.dense_y())
-    trace = [objective_value(obs, w, lam).total]
-    for _ in range(len(fit.objective_history) - 1):
-        w = pg_step(w, obs, lam, lip)
-        trace.append(objective_value(obs, w, lam).total)
-    assert np.allclose(fit.objective_history, trace, atol=1e-8)
+    fit = apg_solve(obs, SolverConfig(lam=lam, lipschitz=lip, max_iters=1))
+    w = pg_step(CollectiveMatrix(obs.layout, obs.dense_y()), obs, lam, lip)
+    assert np.allclose(fit.factors.to_matrix(), w.values, rtol=0.0, atol=1e-12)
+    assert fit.objective_history[1] == pytest.approx(objective_value(obs, w, lam).total,
+                                                     rel=1e-12)
 
 
 def test_apg_objective_nonincreasing_with_unit_lipschitz():
@@ -136,8 +134,7 @@ def test_plais_matches_apg_with_frozen_continuation():
     # nu ~ 0 freezes lambda_t at lambda after the first step and makes the
     # approximate SVT tolerance collapse immediately
     pl = plais_impute(obs, SolverConfig(lam=lam, lipschitz=lip, nu=1e-9,
-                                        max_iters=4000, epsilon=1e-14,
-                                        warm_slack=8))
+                                        max_iters=4000, epsilon=1e-14))
     assert abs(apg.objective_history[-1] - pl.objective_history[-1]) < 1e-6
 
 
@@ -249,16 +246,6 @@ def test_plais_smoothed_quantile_runs():
                                        losses=(LipschitzLoss.hinge(),)))
 
 
-def test_clip_final_flag():
-    obs, _ = gaussian_instance(seed=20, p=0.9)
-    lip = tight_lipschitz(obs)
-    cfg = SolverConfig(lam=1e-9, lipschitz=lip, gamma=0.2, clip_final=True,
-                       max_iters=50)
-    fit = plais_impute(obs, cfg)
-    assert fit.factors.to_matrix().max() <= 0.2 + 1e-9
-    assert "clipped" in fit.flags
-
-
 @pytest.mark.parametrize("driver, start_ranks", [(apg_solve, 0), (plais_impute, 1)],
                          ids=["apg_solve", "plais_impute"])
 def test_both_drivers_share_flags_stop_and_histories(driver, start_ranks):
@@ -268,10 +255,6 @@ def test_both_drivers_share_flags_stop_and_histories(driver, start_ranks):
     zero = driver(obs, SolverConfig(lam=1.5 * lam0, lipschitz=lip, max_iters=50))
     assert zero.factors.rank == 0
     assert zero.flags[0] == "zero_solution"
-    clipped = driver(obs, SolverConfig(lam=1e-9, lipschitz=lip, gamma=0.2,
-                                       clip_final=True, max_iters=50))
-    assert clipped.factors.to_matrix().max() <= 0.2 + 1e-9
-    assert clipped.flags[-1] == "clipped"
     one = driver(obs, SolverConfig(lam=1e-9, lipschitz=lip, epsilon=1e-30, max_iters=1))
     assert one.terminated_by == "max_iters"
     assert len(one.objective_history) == 2
@@ -329,25 +312,28 @@ def test_theory_bound_scalings_and_spot_value():
 
 def test_solver_config_round_trip():
     cfg = SolverConfig(lam=0.5, nu=0.3, epsilon=1e-8, max_iters=77,
-                       lipschitz=0.01, gamma=2.0, mode="general_loss",
+                       lipschitz=0.01, mode="general_loss",
                        losses=(LipschitzLoss.quantile(0.25),), constant_c=0.5,
-                       init_rank=12, warm_slack=3, basis_drop=1e-4,
-                       smoothing=0.1, clip_final=True, momentum=False)
+                       init_rank=12, basis_drop=1e-4, smoothing=0.1)
     assert from_json(SolverConfig, to_json(cfg), "solver") == cfg
+    # a config is checked when it is built, also by replace
     with pytest.raises(ValueError):
-        SolverConfig(nu=1.5).validate()
+        SolverConfig(nu=1.5)
     with pytest.raises(ValueError):
-        SolverConfig(epsilon=0.0).validate()
+        SolverConfig(epsilon=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(mode="general_loss").validate()
+        SolverConfig(mode="general_loss")
+    with pytest.raises(ValueError, match="^nu must"):
+        replace(cfg, nu=1.5)
     # each range check names its field
-    for bad, field in [({"gamma": 0.0}, "gamma"), ({"gamma": -1.0}, "gamma"),
+    for bad, field in [({"constant_c": 0.0}, "constant_c"), ({"basis_drop": -1.0}, "basis_drop"),
                        ({"smoothing": 0.0}, "smoothing"),
                        ({"init_rank": 2.5}, "init_rank"), ({"init_rank": 0}, "init_rank"),
-                       ({"warm_slack": 1.5}, "warm_slack"), ({"warm_slack": -1}, "warm_slack"),
-                       ({"max_iters": 10.0}, "max_iters")]:
+                       ({"max_iters": 0}, "max_iters"), ({"max_iters": 10.0}, "max_iters")]:
         with pytest.raises(ValueError, match=f"^{field} must"):
-            SolverConfig(**bad).validate()
+            SolverConfig(**bad)
+    with pytest.raises(ValueError, match="^losses are read only in general_loss mode"):
+        SolverConfig(losses=(LipschitzLoss.logistic(),))
 
 
 def test_partial_solver_dict_takes_field_defaults():
@@ -446,21 +432,6 @@ def test_plais_flags_a_power_method_at_its_cap(monkeypatch):
     monkeypatch.setattr(solvers, "approx_svt",
                         lambda *args: capped(*args, max_iters=1))
     assert plais_impute(obs, cfg).flags.count("power_not_converged") == 1
-
-
-def test_plais_without_momentum_never_extrapolates(monkeypatch):
-    obs, cfg = _sparse_fit_setup("likelihood")
-    thetas = []
-    extrapolate = solvers._extrapolate
-
-    def spy(cur, prev, theta):
-        thetas.append(theta)
-        return extrapolate(cur, prev, theta)
-
-    monkeypatch.setattr(solvers, "_extrapolate", spy)
-    fit = plais_impute(obs, replace(cfg, momentum=False))
-    assert fit.terminated_by == "tolerance"
-    assert thetas and set(thetas) == {0.0}
 
 
 def _smooth_loss_setup(kind):
