@@ -108,7 +108,10 @@ def qr_orthonormalize(m: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
 
     Columns whose R-diagonal magnitude falls below ``drop_tol`` (linearly
     dependent or zero input columns) are dropped, so the returned basis can
-    be narrower than the input.
+    be narrower than the input.  The QR is unpivoted, so a column dropped
+    before a kept one still takes a direction (its residual's, or rounding
+    noise), which is then projected out of the kept ones: they can span less
+    than the range of ``m``.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] < m.shape[1]:

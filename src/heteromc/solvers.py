@@ -36,7 +36,7 @@ from .lowrank import (
     ThinFactors,
     _refill,
     approx_svt,
-    qr_orthonormalize,
+    qr_orthonormalize,  # noqa: F401  unused here; perfbench's tracer self-test looks it up
     rank1_svd,
     svt_exact,
 )
@@ -60,12 +60,13 @@ from .objectives import (
 #   2000 x 2100,  p=0.1,  k=40:   29 vs  18 ms;  k=100: 55 vs 49 ms;
 #                         k=300: 108 vs 113 ms
 #   300 x 300,    p=0.2,  k=140: 1.4 vs 2.7 ms;  p=0.6, k=30: 0.5 vs 1.8 ms
-# A whole 2000 x 2100, p=0.1 fit (basis up to 338 wide) took 10.1-11.1 s
-# dense and 9.7-9.8 s structured, so p=0.1 is about a wash and the
-# desk-scale sizes need the dense form; the crossover sits between 0.05
-# and 0.1.
+# A whole 2000 x 2100, p=0.1 fit (warm start up to 51 wide) took 3.6 s
+# dense and 1.7-1.8 s structured, so at such widths the structured form
+# wins at p=0.1 as well, while the desk-scale sizes still need the dense
+# form; a single density rule for both regimes is still open.
 DENSE_Z_MIN_DENSITY = 0.075
-# Random columns added to each warm start of plais_impute's approximate SVT.
+# Columns beyond the current rank in each warm start of plais_impute's
+# approximate SVT, and so the most the iterate's rank can grow per iteration.
 WARM_SLACK = 5
 
 
@@ -129,8 +130,10 @@ class FitResult:
     """Full trace of one solve; ``factors`` is the last iterate, as the loop left it.
 
     ``rank_history`` records the surviving rank of each accepted iterate,
-    ``input_rank_history`` the width of the subspace carried between
-    iterations by the inexact solver (slack padding excluded), and
+    ``input_rank_history`` the columns of each warm start of the inexact
+    solver that come from the last two iterates (``init_rank`` on the first
+    iteration, random padding excluded; at most the iterate's rank plus
+    :data:`WARM_SLACK` afterwards), and
     ``restarts`` the iterations where the objective increased and the
     momentum counter was reset.  ``objective_history`` starts with the
     objective at the starting point in both drivers; ``rank_history`` starts
@@ -329,13 +332,17 @@ def _warm_basis(v_cur: np.ndarray, v_prev: np.ndarray,
                 drop_tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis of the span of the current and previous right bases.
 
-    The current columns come first, so truncation to D columns keeps them,
-    and the R diagonal on each previous column is the norm of its residual
-    against the columns before it; residual directions whose norm falls
-    below ``drop_tol`` carry no usable warm-start information and are
-    dropped.
+    The current columns come first, so truncation keeps them.  The left
+    singular vectors of the previous basis's residual against them,
+    ``v_prev - v_cur v_cur^T v_prev``, follow in descending order of
+    singular value, so the most novel directions come next; those whose
+    singular value is at most ``drop_tol`` carry no usable warm-start
+    information and are dropped.  A dropped previous column takes no
+    direction from the kept ones, as it would in an unpivoted QR of
+    ``[v_cur, v_prev]``.
     """
-    return qr_orthonormalize(np.hstack([v_cur, v_prev])[:, :v_cur.shape[0]], drop_tol)
+    u, s, _ = np.linalg.svd(v_prev - v_cur @ (v_cur.T @ v_prev), full_matrices=False)
+    return np.hstack([v_cur, u[:, s > drop_tol]])
 
 
 def _extrapolate(cur: ThinFactors, prev: ThinFactors, theta: float):
@@ -354,9 +361,14 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     The per-iteration weight decays as nu^t (lam0 - lam) + lam from
     lam0 = lipschitz * sigma_1(Y) down to the target lam, so the SVT
     threshold sweeps from sigma_1(Y) to lam/lipschitz.  The approximate SVT
-    is warm-started from the span of the right bases of the last two
-    iterates, padded with random columns to ``init_rank`` on the first
-    iteration and by :data:`WARM_SLACK` columns throughout.  The
+    of iteration t is warm-started from rank(W_t) + :data:`WARM_SLACK`
+    columns: the right basis of W_t, then the most novel directions of
+    W_{t-1}'s (see :func:`_warm_basis`), then random columns as needed.
+    The first iteration starts from ``init_rank`` + :data:`WARM_SLACK`
+    columns when ``init_rank`` is set.  So the rank can grow by at most
+    :data:`WARM_SLACK` per iteration, and the warm start stays near the
+    rank while continuation lowers the threshold; the fixed point, and so
+    the minimizer reached, does not depend on the warm start.  The
     extrapolation weight is theta = (c - 1) / (c + 2), 0 at c = 1; the
     counter c resets to 1 whenever the objective at the target weight
     increases.  Iterations stop when that objective's change falls within
@@ -409,14 +421,14 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
         else:
             z = SparsePlusLowRank(a, b, obs.to_csr(-term.grad_on_omega(eta_x) / big_l))
         basis = _warm_basis(factors.v, factors_prev.v, cfg.basis_drop)
+        carried = factors.rank
         if t == 1 and cfg.init_rank is not None:
-            basis = _refill(basis, min(cfg.init_rank, width_cap),
-                            np.random.default_rng((8081, t)))
-        if basis.shape[1] > width_cap:
-            basis = basis[:, :width_cap]
+            carried = min(cfg.init_rank, width_cap)
+            basis = _refill(basis, carried, np.random.default_rng((8081, t)))
+        width = min(carried + WARM_SLACK, width_cap)
+        basis = basis[:, :width]
         input_rank_history.append(basis.shape[1])
-        padded = _refill(basis, min(basis.shape[1] + WARM_SLACK, width_cap),
-                         np.random.default_rng((8082, t)))
+        padded = _refill(basis, width, np.random.default_rng((8082, t)))
         new_factors, converged = approx_svt(z, padded, lam_t / big_l, delta_t)
         power_capped = power_capped or not converged
         eta_next = term.gather(new_factors)

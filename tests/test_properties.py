@@ -744,3 +744,31 @@ def test_warm_basis_spans_what_the_explicit_projection_spans(d, data, seed):
     assert got.shape == ref.shape == (d, width)
     assert np.allclose(got.T @ got, np.eye(got.shape[1]), atol=1e-10)
     assert np.linalg.norm(got @ got.T - ref @ ref.T) <= 1e-10
+
+
+@SETTINGS
+@given(st.integers(1, 12), st.data(), seeds)
+def test_warm_basis_keeps_moving_columns_behind_static_ones(d, data, seed):
+    # previous columns inside span(v_cur) first, then columns that moved out
+    # of it: an unpivoted QR of [v_cur, v_prev] would drop the static ones
+    # and project their rounding-noise directions out of the moving ones
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(0, d), label="current width")
+    drop_tol = data.draw(st.sampled_from([1e-6, 1e-4, 1e-3, 1e-2]), label="drop_tol")
+    static = data.draw(st.integers(1, 3), label="static columns")
+    moving = data.draw(st.integers(0, d - k), label="moving columns")
+    r = np.array(data.draw(st.lists(st.floats(10 * drop_tol, 1.0), min_size=moving,
+                                     max_size=moving), label="residual norms"))
+    basis = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    v_cur = basis[:, :k]
+    inside = v_cur @ rng.normal(size=(k, static + moving))
+    inside /= np.maximum(np.linalg.norm(inside, axis=0), 1e-300)
+    v_prev = inside.copy()
+    v_prev[:, static:] = (np.sqrt(1.0 - r**2) * inside[:, static:]
+                          + r * basis[:, k:k + moving])
+    got = _warm_basis(v_cur, v_prev, drop_tol)
+    span = basis[:, :k + moving]
+    assert got.shape == (d, k + moving)
+    assert np.array_equal(got[:, :k], v_cur)
+    assert np.allclose(got.T @ got, np.eye(got.shape[1]), atol=1e-10)
+    assert np.linalg.norm(got @ got.T - span @ span.T) <= 1e-10

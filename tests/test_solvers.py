@@ -434,6 +434,36 @@ def test_plais_flags_a_power_method_at_its_cap(monkeypatch):
     assert plais_impute(obs, cfg).flags.count("power_not_converged") == 1
 
 
+@pytest.mark.parametrize("crossover", [0.0, 1.0])  # dense Z, then structured Z
+def test_plais_warm_start_is_at_most_the_rank_plus_the_slack(monkeypatch, crossover):
+    obs, cfg = _sparse_fit_setup("likelihood")
+    monkeypatch.setattr(solvers, "DENSE_Z_MIN_DENSITY", crossover)
+    fit = plais_impute(obs, cfg)
+    assert fit.input_rank_history[0] == cfg.init_rank
+    for t in range(1, len(fit.input_rank_history)):
+        assert fit.input_rank_history[t] <= fit.rank_history[t] + solvers.WARM_SLACK, t
+
+
+# apg_solve steps at the largest curvature, so with a variance-2 family its
+# 1e-12 stop falls 9e-9 relative short of the minimum; 1e-14 does not
+@pytest.mark.parametrize("variances, epsilon", [((1.0, 1.0), 1e-12), ((1.0, 2.0), 1e-14)])
+def test_plais_rank_grows_past_the_slack_to_the_minimizer(variances, epsilon):
+    # the minimizers have rank 34 and 30; from a one-column start and no
+    # init_rank the warm start begins 6 wide and adds at most WARM_SLACK
+    # columns per iteration
+    syn = SyntheticConfig(200, (100, 100), (15, 15), ("gaussian",) * 2, seed=5)
+    fams = tuple(ExpFamilyModel("gaussian", v) for v in variances)
+    obs = mask_sample(generate_synthetic(syn), SamplingScheme.uniform(0.5), 6, fams)
+    lip = tight_lipschitz(obs)
+    cfg = SolverConfig(lam=data_scale_lambda(obs, lip, rel=0.02), lipschitz=lip,
+                       epsilon=epsilon, max_iters=5000)
+    apg = apg_solve(obs, cfg)
+    pl = plais_impute(obs, cfg)
+    assert apg.terminated_by == pl.terminated_by == "tolerance"
+    assert pl.factors.rank == apg.factors.rank > solvers.WARM_SLACK + 1
+    assert pl.objective_history[-1] == pytest.approx(apg.objective_history[-1], rel=1e-9)
+
+
 def _smooth_loss_setup(kind):
     """Instance and config, with its hand-written step constant, of
     test_plais_general_loss_logistic, test_plais_smoothed_quantile_runs or
