@@ -36,18 +36,14 @@ from .data import (
 )
 from .objectives import (
     LipschitzLoss,
-    ObjectiveValue,
     bregman_fit,
     empirical_risk,
     grad_neg_log_likelihood,
     grad_operator_norm,
     lipschitz_grad_constant,
-    loss_value,
     map_binary_labels,
     neg_log_likelihood,
     nuclear_norm,
-    objective_value,
-    risk_subgradient,
 )
 from .lowrank import (
     ThinFactors,
@@ -62,10 +58,8 @@ from .solvers import (
     NumericalError,
     SolverConfig,
     apg_solve,
-    lambda_calibration_sweep,
     lambda_general_loss,
     lambda_heuristic,
-    pg_step,
     plais_impute,
     theory_bound,
     tight_lipschitz,
@@ -93,7 +87,6 @@ __all__ = [
     "LipschitzLoss",
     "MetricRecord",
     "NumericalError",
-    "ObjectiveValue",
     "ObservationSet",
     "SamplingScheme",
     "SolverConfig",
@@ -113,25 +106,20 @@ __all__ = [
     "generate_synthetic",
     "grad_neg_log_likelihood",
     "grad_operator_norm",
-    "lambda_calibration_sweep",
     "lambda_general_loss",
     "lambda_heuristic",
     "lipschitz_grad_constant",
-    "loss_value",
     "map_binary_labels",
     "mask_sample",
     "neg_log_likelihood",
     "nuclear_norm",
-    "objective_value",
     "observe_from_model",
-    "pg_step",
     "plais_impute",
     "power_method",
     "qr_orthonormalize",
     "rank1_svd",
     "rate_regression",
     "relative_error",
-    "risk_subgradient",
     "run_cold_start",
     "run_experiment",
     "sample",

@@ -5,6 +5,9 @@ randomness flows from the single seed field.  Exit codes: 0 success,
 2 config error, 3 data error, 4 numerical failure, 5 stopped on the
 iteration cap.  :func:`main` maps exceptions to these codes; a bad config
 value surfaces as a ``KeyError``, ``TypeError`` or ``ValueError``.
+``experiment`` and ``coldstart`` keep a failed fit as an error record and
+exit 0 when at least one fit succeeded; when every fit failed they still
+write their files, print the first error and exit 3.
 """
 
 from __future__ import annotations
@@ -98,6 +101,15 @@ def _write_records(records, out_dir: Path) -> None:
     (out_dir / "records.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _records_exit(records, out_dir: Path) -> int:
+    """Report the written records; EXIT_DATA when every fit failed."""
+    print(f"wrote {len(records)} records to {out_dir}")
+    if records and all(r.error is not None for r in records):
+        print(f"every fit failed: {records[0].error}", file=sys.stderr)
+        return EXIT_DATA
+    return EXIT_OK
+
+
 def _write_curves(rows, path: Path) -> None:
     lines = ["p,mean_re,std_re,bound"]
     for row in rows:
@@ -174,8 +186,7 @@ def cmd_experiment(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_records(records, out)
     _write_curves(curve_table(records, cfg.get("bound_params")), out / "curves.csv")
-    print(f"wrote {len(records)} records to {out}")
-    return EXIT_OK
+    return _records_exit(records, out)
 
 
 def cmd_coldstart(args) -> int:
@@ -192,8 +203,7 @@ def cmd_coldstart(args) -> int:
         lines.append(f"{row['p']},{row['method']},{row['mean_re']:.17e},"
                      f"{row['std_re']:.17e},{row['n']}")
     (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(records)} records to {out}")
-    return EXIT_OK
+    return _records_exit(records, out)
 
 
 def cmd_bounds(args) -> int:

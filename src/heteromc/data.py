@@ -97,9 +97,6 @@ class CollectiveMatrix:
     def copy(self) -> "CollectiveMatrix":
         return CollectiveMatrix(self.layout, self.values.copy(), dict(self.meta))
 
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
-
     def frob_norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
@@ -225,9 +222,6 @@ class ObservationSet:
             raise ValueError(f"source {v} outside layout")
         return slice(int(self._starts[v]), int(self._starts[v + 1]))
 
-    def source_counts(self) -> np.ndarray:
-        return np.bincount(self.v, minlength=self.layout.V)
-
     def csr_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(order, indices, indptr)``: Omega as a CSR pattern.
 
@@ -256,11 +250,6 @@ class ObservationSet:
     def dense_y(self) -> np.ndarray:
         out = np.zeros((self.layout.d_u, self.layout.D))
         out[self.i, self.cols] = self.y
-        return out
-
-    def dense_mask(self) -> np.ndarray:
-        out = np.zeros((self.layout.d_u, self.layout.D), dtype=bool)
-        out[self.i, self.cols] = True
         return out
 
     def subset(self, idx: np.ndarray) -> "ObservationSet":

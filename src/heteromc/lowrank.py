@@ -72,10 +72,6 @@ class ThinFactors:
         if not self.u.shape[1] == self.sigma.size == self.v.shape[1]:
             raise ValueError("factor widths disagree")
 
-    @classmethod
-    def empty(cls, d_u: int, d: int) -> "ThinFactors":
-        return cls(np.zeros((d_u, 0)), np.zeros(0), np.zeros((d, 0)))
-
     @property
     def rank(self) -> int:
         return int(self.sigma.size)

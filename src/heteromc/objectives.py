@@ -1,14 +1,15 @@
-"""Objective functions: penalized likelihood, Lipschitz risks, diagnostics.
+"""Data terms of the penalized objective: likelihood, Lipschitz risks, diagnostics.
 
 Every data term is one sum over the observed set Omega of a per-source
 pointwise loss, normalized by the full matrix size d_u * D, not by the
 number of observed entries.  :class:`DataTerm` evaluates that sum and its
-gradient; the likelihood, risk and Bregman functions below are instances of
-it.  Since the sum only reads the parameter on Omega, it takes a dense
-matrix, thin factors (gathered on Omega without forming the matrix) or the
-length-nnz vector of entries on Omega itself.  Likelihood terms need family
-tags on the observation set; the distribution-free path takes per-source
-Lipschitz losses instead.
+gradient; the likelihood, the empirical risk, the solvers' smooth losses
+and the Bregman fit below are instances of it.  Since the sum only reads
+the parameter on Omega, it takes a dense matrix, thin factors (gathered on
+Omega without forming the matrix) or the length-nnz vector of entries on
+Omega itself.  Likelihood terms need family tags on the observation set;
+the distribution-free path takes per-source Lipschitz losses instead.  The
+penalty is :func:`nuclear_norm`.
 """
 
 from __future__ import annotations
@@ -208,13 +209,6 @@ def _check_labels(loss: LipschitzLoss, y) -> None:
             raise ValueError(f"{loss.kind} loss needs labels in {{-1, +1}}")
 
 
-def loss_value(loss: LipschitzLoss, y, x):
-    """Pointwise loss l(y, x)."""
-    _check_labels(loss, y)
-    out = _loss(loss, np.asarray(y, dtype=float), np.asarray(x, dtype=float))
-    return out if out.ndim else float(out)
-
-
 def _loss(loss: LipschitzLoss, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     if loss.kind == "hinge":
         return np.maximum(0.0, 1.0 - y * x)
@@ -224,31 +218,10 @@ def _loss(loss: LipschitzLoss, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return z * (loss.tau - (z <= 0))
 
 
-def _loss_subgrad(loss: LipschitzLoss, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if loss.kind == "hinge":
-        # at the kink y*x == 1 we pick the zero-slope endpoint
-        return np.where(y * x < 1.0, -y, 0.0)
-    if loss.kind == "logistic":
-        return -y * expit(-y * x)
-    z = x - y
-    return loss.tau - (z <= 0).astype(float)
-
-
-def _risk_term(obs: ObservationSet, losses) -> DataTerm:
-    """Empirical risk over Omega with the per-source losses' subgradients."""
-    losses = tuple(losses)
-    pairs = [(partial(_loss, l), partial(_loss_subgrad, l)) for l in losses]
-    return DataTerm(obs, pairs, losses)
-
-
 def empirical_risk(obs: ObservationSet, w, losses) -> float:
     """(1/(d_u D)) sum_Omega l^v(y, w)."""
-    return _risk_term(obs, losses).value(w)
-
-
-def risk_subgradient(obs: ObservationSet, w, losses) -> CollectiveMatrix:
-    """A member of the risk subdifferential; entries bounded by rho/(d_u D)."""
-    return CollectiveMatrix(obs.layout, _risk_term(obs, losses).grad(w))
+    losses = tuple(losses)
+    return DataTerm(obs, [(partial(_loss, l), None) for l in losses], losses).value(w)
 
 
 def solver_loss_terms(loss: LipschitzLoss, smoothing: float = 1e-2):
@@ -259,7 +232,7 @@ def solver_loss_terms(loss: LipschitzLoss, smoothing: float = 1e-2):
     Hinge has no Lipschitz gradient, so the proximal solvers reject it.
     """
     if loss.kind == "logistic":
-        return partial(_loss, loss), partial(_loss_subgrad, loss)
+        return partial(_loss, loss), lambda y, x: -y * expit(-y * x)
     if loss.kind == "quantile":
         tau, m = loss.tau, float(smoothing)
         if m <= 0:
@@ -308,35 +281,6 @@ def map_binary_labels(obs: ObservationSet, losses) -> ObservationSet:
 def nuclear_norm(w) -> float:
     """Sum of singular values, via a full SVD."""
     return float(np.linalg.svd(_values(w), compute_uv=False).sum())
-
-
-@dataclass(frozen=True)
-class ObjectiveValue:
-    """Decomposed penalized objective: total = data_term + lam * penalty."""
-
-    data_term: float
-    penalty: float
-    total: float
-    lam: float
-
-    def to_dict(self) -> dict:
-        return {"data_term": self.data_term, "penalty": self.penalty,
-                "total": self.total, "lambda": self.lam}
-
-
-def objective_value(obs: ObservationSet, w, lam: float, mode: str = "likelihood",
-                    losses=None) -> ObjectiveValue:
-    """Penalized objective with either likelihood or empirical-risk data term."""
-    if mode == "likelihood":
-        data = neg_log_likelihood(obs, w)
-    elif mode == "general_loss":
-        if losses is None:
-            raise ValueError("general_loss mode needs per-source losses")
-        data = empirical_risk(obs, w, losses)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    penalty = nuclear_norm(w)
-    return ObjectiveValue(data, penalty, data + lam * penalty, lam)
 
 
 def bregman_fit(obs: ObservationSet, w_hat, w_true) -> float:

@@ -1,10 +1,10 @@
 """Proximal solvers for nuclear-norm penalized completion.
 
-Three drivers share one objective: a plain proximal-gradient step, an
-accelerated solver with exact SVT, and the main accelerated inexact solver
-that combines warm-started approximate SVT with a continuation schedule on
-the regularization weight and a restart whenever the objective increases.
-The two iterative drivers share one frame: set-up (:func:`_begin`), the
+Two drivers share one objective: an accelerated solver with exact SVT,
+kept as the reference, and the main accelerated inexact solver that
+combines warm-started approximate SVT with a continuation schedule on the
+regularization weight and a restart whenever the objective increases.
+Both share one frame: set-up (:func:`_begin`), the
 stop test (:func:`_settled`) and the flags and result (:func:`_result`).
 
 The inexact solver keeps every iterate as thin factors and evaluates the
@@ -15,7 +15,7 @@ the operator "low rank + sparse on Omega"
 (:class:`~heteromc.lowrank.SparsePlusLowRank`), so no d_u x D array is
 formed there and memory stays O(nnz + (d_u + D) r).
 :data:`DENSE_Z_MIN_DENSITY` chooses between the two.  The exact-SVT
-drivers stay dense, since a full SVD needs the matrix.
+driver stays dense, since a full SVD needs the matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Literal
 
 import numpy as np
 
-from .data import CollectiveMatrix, ObservationSet, estimate_mu
+from .data import ObservationSet, estimate_mu
 from .families import strong_convexity_bounds
 from .jsonconf import to_json
 from .lowrank import (
@@ -68,6 +68,11 @@ DENSE_Z_MIN_DENSITY = 0.075
 # Columns beyond the current rank in each warm start of plais_impute's
 # approximate SVT, and so the most the iterate's rank can grow per iteration.
 WARM_SLACK = 5
+# Smallest subspace gap asked of a power method, per sqrt(warm-start width).
+# The gap of two float64 bases of k columns carries rounding of about
+# eps sqrt(k), so a smaller nu^t ||Y|| would run every late power method to
+# its iteration cap.
+POWER_GAP_FLOOR = 64 * np.finfo(float).eps
 
 
 class NumericalError(RuntimeError):
@@ -189,12 +194,6 @@ def lambda_general_loss(obs: ObservationSet, losses, constant_c: float = 1.0) ->
     return 2.0 * constant_c * rho * (math.sqrt(mu) + log_term) / (d_u * big_d)
 
 
-def lambda_calibration_sweep(obs: ObservationSet,
-                             constants=(0.25, 0.5, 1.0, 2.0, 4.0)) -> dict[float, float]:
-    """Heuristic weight at a ladder of constants, for calibration runs."""
-    return {c: lambda_heuristic(obs, constant_c=c) for c in constants}
-
-
 def theory_bound(kind: str, params: dict) -> float:
     """Reference error-rate curve evaluated at user-supplied constants.
 
@@ -244,13 +243,6 @@ def _data_terms(obs: ObservationSet, cfg: SolverConfig):
     pairs = [solver_loss_terms(l, cfg.smoothing) for l in cfg.losses]
     term = DataTerm(obs, pairs, cfg.losses)
     return term, term.value, term.grad
-
-
-def pg_step(w: CollectiveMatrix, obs: ObservationSet, lam: float,
-            lipschitz: float = 1.0) -> CollectiveMatrix:
-    """One proximal-gradient step: SVT of the forward gradient step."""
-    z = w.values - grad_neg_log_likelihood(obs, w).values / lipschitz
-    return CollectiveMatrix(w.layout, svt_exact(z, lam / lipschitz).to_matrix())
 
 
 def _check_finite(value: float) -> float:
@@ -372,7 +364,9 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     extrapolation weight is theta = (c - 1) / (c + 2), 0 at c = 1; the
     counter c resets to 1 whenever the objective at the target weight
     increases.  Iterations stop when that objective's change falls within
-    ``epsilon``.
+    ``epsilon``.  The power method of iteration t stops when its subspace
+    gap is at most nu^t ||Y||, or :data:`POWER_GAP_FLOOR` sqrt(width) once
+    that is larger.
 
     Iterates are thin factors, and the data term is evaluated on Omega
     from them.  The gradient at the extrapolated point is taken from its
@@ -408,7 +402,6 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     power_capped = False
     terminated_by = "max_iters"
     for t in range(1, cfg.max_iters + 1):
-        delta_t = cfg.nu**t * delta0
         lam_t = cfg.nu**t * (lam0 - lam) + lam
         theta = (c - 1.0) / (c + 2.0)
         a, b = _extrapolate(factors, factors_prev, theta)
@@ -429,6 +422,7 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
         basis = basis[:, :width]
         input_rank_history.append(basis.shape[1])
         padded = _refill(basis, width, np.random.default_rng((8082, t)))
+        delta_t = max(cfg.nu**t * delta0, POWER_GAP_FLOOR * math.sqrt(padded.shape[1]))
         new_factors, converged = approx_svt(z, padded, lam_t / big_l, delta_t)
         power_capped = power_capped or not converged
         eta_next = term.gather(new_factors)

@@ -10,6 +10,8 @@ from heteromc import (
     SyntheticConfig,
     generate_synthetic,
     mask_sample,
+    neg_log_likelihood,
+    nuclear_norm,
     observe_from_model,
 )
 
@@ -57,6 +59,23 @@ def gaussian_instance(d_u=24, d_vs=(18, 14), ranks=(3, 2), p=0.7, seed=0,
     else:
         obs = mask_sample(truth, scheme, seed + 1, fams)
     return obs, truth
+
+
+def penalized_objective(obs, w, lam):
+    """Likelihood objective f(W) + lam ||W||_*, the quantity both drivers record."""
+    return neg_log_likelihood(obs, w) + lam * nuclear_norm(w)
+
+
+def curved_instance(d_u=24, d_vs=(18, 14), ranks=(3, 2), p=0.7, seed=0):
+    """Gaussian (variance 2) plus poisson instance: (observations, truth).
+
+    Its curvatures differ from 1 and from each other, so a unit-scale slip
+    does not cancel out.
+    """
+    syn = SyntheticConfig(d_u, d_vs, ranks, ("gaussian", "poisson"), seed=seed)
+    truth = generate_synthetic(syn)
+    fams = (ExpFamilyModel("gaussian", 2.0), POIS)
+    return observe_from_model(truth, fams, SamplingScheme.uniform(p), seed + 1), truth
 
 
 @pytest.fixture

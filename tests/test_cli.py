@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from heteromc.cli import (
     EXIT_DATA,
     EXIT_MAX_ITERS,
     EXIT_OK,
+    _records_exit,
     main,
 )
 from heteromc import io as hio
@@ -191,6 +193,30 @@ def test_coldstart_command_emits_paired_records(tmp_path):
     assert len(records) == 20
     assert {r["method"] for r in records} == {"collective", "per_source"}
     assert (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "coldstart"])
+def test_every_fit_failing_is_a_data_error(tmp_path, capsys, command):
+    # logistic losses need +-1 labels, and gaussian sources do not have them
+    cfg = {
+        "d_u": 40, "d_vs": [20, 16], "ranks": [2, 2],
+        "factor_laws": ["gaussian", "gaussian"], "p_grid": [0.5], "seed": 5,
+        "solver": {"mode": "general_loss",
+                   "losses": [{"kind": "logistic"}, {"kind": "logistic"}]},
+    }
+    out = tmp_path / "out"
+    code = main([command, "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert code == EXIT_DATA
+    records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+    assert records and all(r["error"] for r in records)
+    assert f"every fit failed: {records[0]['error']}" in capsys.readouterr().err
+
+
+def test_one_successful_fit_is_enough_to_exit_ok(tmp_path, capsys):
+    ok, failed = SimpleNamespace(error=None), SimpleNamespace(error="boom")
+    assert _records_exit([failed, ok], tmp_path) == EXIT_OK
+    assert "every fit failed" not in capsys.readouterr().err
+    assert _records_exit([failed, failed], tmp_path) == EXIT_DATA
 
 
 def test_bounds_command_spot_value(tmp_path, capsys):

@@ -180,7 +180,7 @@ def test_generate_synthetic_rank_one_ones():
     m = generate_synthetic(cfg)
     block = m.block(0)
     assert np.all(np.abs(block) <= 2.0 + 1e-12)
-    assert m.sup_norm() == pytest.approx(2.0, abs=1e-12)
+    assert np.abs(m.values).max() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_generate_synthetic_desk_scale_block():
@@ -214,7 +214,7 @@ def test_generate_synthetic_degenerate_resample():
     for seed in range(60):
         cfg = SyntheticConfig(1, (1, 4), (1, 1), ("bernoulli", "gaussian"), seed=seed)
         m = generate_synthetic(cfg)
-        assert m.sup_norm() > 0
+        assert np.any(m.values)
         if m.meta["resampled"]:
             assert m.meta["resampled"].get(0, 0) >= 1
             break
@@ -291,7 +291,7 @@ def test_mask_sample_per_entry_table():
     table[:, :100] = 0.9
     table[:, 100:] = 0.1
     obs = mask_sample(full, SamplingScheme.per_entry(table), 13)
-    counts = obs.source_counts()
+    counts = np.bincount(obs.v, minlength=2)
     assert counts[0] > 0.8 * 200 * 100
     assert counts[1] < 0.2 * 200 * 100
 

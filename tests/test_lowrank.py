@@ -172,7 +172,7 @@ def test_thin_factors_invariants(rng):
     assert np.allclose(f.u.T @ f.u, np.eye(f.rank), atol=1e-10)
     assert np.allclose(f.v.T @ f.v, np.eye(f.rank), atol=1e-10)
     assert np.all(np.diff(f.sigma) <= 0) and np.all(f.sigma > 0)
-    empty = ThinFactors.empty(5, 4)
+    empty = ThinFactors(np.zeros((5, 0)), np.zeros(0), np.zeros((4, 0)))
     assert empty.rank == 0 and empty.to_matrix().shape == (5, 4)
     with pytest.raises(ValueError):
         ThinFactors(np.zeros((3, 2)), np.zeros(1), np.zeros((4, 2)))

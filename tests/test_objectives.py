@@ -16,15 +16,14 @@ from heteromc import (
     g_value,
     grad_neg_log_likelihood,
     lipschitz_grad_constant,
-    loss_value,
     neg_log_likelihood,
     nuclear_norm,
-    objective_value,
-    risk_subgradient,
     strong_convexity_bounds,
 )
+from heteromc.objectives import DataTerm, solver_loss_terms
 
-from conftest import ALL_FAMILIES, GAUSS, POIS, domain_matrix, make_obs
+from conftest import (ALL_FAMILIES, GAUSS, POIS, curved_instance, domain_matrix, make_obs,
+                      penalized_objective)
 
 
 def naive_nll(obs, w):
@@ -79,7 +78,8 @@ def test_gradient_matches_finite_differences(model, rng):
         fd[i, c] = (neg_log_likelihood(obs, wp) - neg_log_likelihood(obs, wm)) / (2 * h)
     assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-6
     # zero off the observed support
-    mask = obs.dense_mask()
+    mask = np.zeros(w.shape, dtype=bool)
+    mask[obs.i, obs.cols] = True
     assert not grad[~mask].any()
 
 
@@ -107,13 +107,29 @@ def test_lipschitz_bound_holds_empirically(model, rng):
         assert num <= bound * np.linalg.norm(w - q) * (1 + 1e-12)
 
 
+def _scalar_loss(loss, y, x):
+    """Pointwise loss l(y, x) of one entry, the oracle for empirical_risk."""
+    if loss.kind == "hinge":
+        return max(0.0, 1.0 - y * x)
+    if loss.kind == "logistic":
+        return float(np.logaddexp(0.0, -y * x))
+    z = x - y
+    return z * (loss.tau - (z <= 0))
+
+
+def _single_risk(loss, y, x):
+    # one observation of a 1 x 1 matrix: the risk is the pointwise loss
+    obs = ObservationSet(BlockLayout(1, (1,)), [0], [0], [0], [y])
+    return empirical_risk(obs, np.array([[x]]), (loss,))
+
+
 def test_loss_values():
-    assert loss_value(LipschitzLoss.hinge(), 1.0, 1.0) == 0.0
-    assert loss_value(LipschitzLoss.logistic(), 1.0, 0.0) == pytest.approx(math.log(2))
+    assert _single_risk(LipschitzLoss.hinge(), 1.0, 1.0) == 0.0
+    assert _single_risk(LipschitzLoss.logistic(), 1.0, 0.0) == pytest.approx(math.log(2))
     # z(tau - 1{z<=0}) at z = 2, tau = 0.5
-    assert loss_value(LipschitzLoss.quantile(0.5), 0.0, 2.0) == pytest.approx(1.0)
+    assert _single_risk(LipschitzLoss.quantile(0.5), 0.0, 2.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        loss_value(LipschitzLoss.hinge(), 0.5, 1.0)
+        _single_risk(LipschitzLoss.hinge(), 0.5, 1.0)
     with pytest.raises(ValueError):
         LipschitzLoss.quantile(1.5)
 
@@ -144,16 +160,16 @@ def test_empirical_risk_cases():
     w = rng.normal(size=(10, layout.D))
     total = 0.0
     for v, i, j, y in zip(obs.v, obs.i, obs.j, obs.y):
-        total += loss_value(losses[v], y, w[i, layout.global_col(v, j)])
+        total += _scalar_loss(losses[v], y, w[i, layout.global_col(v, j)])
     assert empirical_risk(obs, w, losses) == pytest.approx(
         total / (10 * layout.D), rel=1e-12)
 
 
-def test_risk_subgradient_logistic_finite_differences():
+def test_logistic_solver_gradient_finite_differences():
     obs, rng = _label_obs(seed=2)
     losses = (LipschitzLoss.logistic(), LipschitzLoss.logistic())
     w = rng.normal(size=(10, obs.layout.D))
-    g = risk_subgradient(obs, w, losses).values
+    g = DataTerm(obs, [solver_loss_terms(l) for l in losses], losses).grad(w)
     h = 1e-5
     fd = np.zeros_like(w)
     for i, c in zip(obs.i, obs.cols):
@@ -162,23 +178,6 @@ def test_risk_subgradient_logistic_finite_differences():
         wm[i, c] -= h
         fd[i, c] = (empirical_risk(obs, wp, losses) - empirical_risk(obs, wm, losses)) / (2 * h)
     assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
-
-
-def test_risk_subgradient_hinge_kink_and_bound():
-    layout = BlockLayout(3, (3,))
-    obs = ObservationSet(layout, [0, 0], [0, 1], [0, 1], [1.0, -1.0])
-    w = np.zeros((3, 3))
-    w[0, 0] = 1.0   # margin exactly 1: zero-slope endpoint by convention
-    w[1, 1] = 0.5   # margin -0.5 < 1: active
-    g = risk_subgradient(obs, w, (LipschitzLoss.hinge(),)).values
-    assert g[0, 0] == 0.0
-    assert g[1, 1] == pytest.approx(1.0 / 9)
-    obs2, rng = _label_obs(seed=3)
-    losses = (LipschitzLoss.hinge(), LipschitzLoss.quantile(0.3))
-    for _ in range(20):
-        w = rng.normal(size=(10, obs2.layout.D))
-        g = risk_subgradient(obs2, w, losses).values
-        assert np.abs(g).max() <= 1.0 / (10 * obs2.layout.D) + 1e-15
 
 
 def test_nuclear_norm_values(rng):
@@ -192,23 +191,16 @@ def test_nuclear_norm_values(rng):
     assert nuclear_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def test_objective_value_consistency(rng):
-    obs, _ = make_obs(GAUSS, d_u=6, d_v=5, seed=7)
-    w = rng.normal(size=(6, 5))
-    val = objective_value(obs, w, lam=0.3)
-    assert val.total == pytest.approx(val.data_term + 0.3 * val.penalty, rel=1e-12)
-    assert val.data_term == pytest.approx(neg_log_likelihood(obs, w))
-    assert val.penalty == pytest.approx(nuclear_norm(w))
-
-
 def test_objective_convexity_along_segments(rng):
-    obs, _ = make_obs(GAUSS, d_u=8, d_v=7, seed=8)
-    for _ in range(20):
-        w = rng.normal(size=(8, 7))
-        q = rng.normal(size=(8, 7))
-        mid = objective_value(obs, (w + q) / 2, 0.2).total
-        avg = (objective_value(obs, w, 0.2).total + objective_value(obs, q, 0.2).total) / 2
-        assert mid <= avg + 1e-10
+    # unit curvature, then a gaussian-variance-2 plus poisson instance
+    for obs in (make_obs(GAUSS, d_u=8, d_v=7, seed=8)[0],
+                curved_instance(d_u=8, d_vs=(4, 3), ranks=(2, 1), seed=8)[0]):
+        for _ in range(20):
+            w = rng.normal(size=(8, 7))
+            q = rng.normal(size=(8, 7))
+            mid = penalized_objective(obs, (w + q) / 2, 0.2)
+            avg = (penalized_objective(obs, w, 0.2) + penalized_objective(obs, q, 0.2)) / 2
+            assert mid <= avg + 1e-10
 
 
 def test_bregman_fit_values(rng):

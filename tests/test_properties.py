@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
-from scipy.special import expit
 
 from heteromc import (
     BlockLayout,
@@ -35,7 +34,6 @@ from heteromc import (
     ThinFactors,
     approx_svt,
     rank1_svd,
-    risk_subgradient,
     svt_exact,
     tight_lipschitz,
 )
@@ -350,14 +348,6 @@ def _loss(loss, y, x):
     return (x - y) * (loss.tau - float(x - y <= 0))
 
 
-def _subgrad(loss, y, x):
-    if loss.kind == "hinge":
-        return -y if y * x < 1.0 else 0.0
-    if loss.kind == "logistic":
-        return -y * expit(-y * x)
-    return loss.tau - float(x - y <= 0)
-
-
 @SETTINGS
 @given(observation_sets(), st.data())
 def test_risk_term_matches_entry_loop(obs, data):
@@ -366,12 +356,8 @@ def test_risk_term_matches_entry_loop(obs, data):
     w = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(
         size=(obs.layout.d_u, obs.layout.D))
     n = obs.layout.d_u * obs.layout.D
-    terms, grad = [], np.zeros_like(w)
-    for v, i, c, y in entries(obs):
-        terms.append(_loss(chosen[v], y, w[i, c]))
-        grad[i, c] = _subgrad(chosen[v], y, w[i, c]) / n
+    terms = [_loss(chosen[v], y, w[i, c]) for v, i, c, y in entries(obs)]
     assert_sum_close(empirical_risk(obs, w, chosen), terms, n)
-    assert np.allclose(risk_subgradient(obs, w, chosen).values, grad, rtol=1e-12, atol=1e-12 / n)
 
 
 @SETTINGS
