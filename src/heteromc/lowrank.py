@@ -227,9 +227,11 @@ def approx_svt(z, r0: np.ndarray, lam: float, delta: float,
 def rank1_svd(y, tol: float = 1e-10, max_iters: int = 1000) -> tuple[np.ndarray, float, np.ndarray]:
     """Top singular triplet ``(u, sigma_1, v)`` by power iteration.
 
-    ``y`` may be a scipy sparse matrix.
+    ``y`` may be a scipy sparse matrix; its transpose is built once, since
+    a sparse ``.T`` is a new matrix object.
     """
     y = _operand(y)
+    y_t = y.T
     if not (y.count_nonzero() if sparse.issparse(y) else np.any(y)):
         raise ValueError("rank-1 SVD of a zero matrix")
     rng = np.random.default_rng(4211)
@@ -244,7 +246,7 @@ def rank1_svd(y, tol: float = 1e-10, max_iters: int = 1000) -> tuple[np.ndarray,
             v /= np.linalg.norm(v)
             continue
         u /= nu
-        v = y.T @ u
+        v = y_t @ u
         sigma_new = float(np.linalg.norm(v))
         v /= sigma_new
         if abs(sigma_new - sigma) <= tol * sigma_new:

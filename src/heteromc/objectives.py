@@ -163,11 +163,15 @@ def lipschitz_grad_constant(obs: ObservationSet) -> float:
 
 
 def grad_operator_norm(obs: ObservationSet, w) -> float:
-    """Spectral norm of the likelihood gradient, by power iteration."""
-    g = grad_neg_log_likelihood(obs, w).values
+    """Spectral norm of the likelihood gradient, by power iteration.
+
+    The gradient vanishes off Omega, so the iteration runs on its sparse
+    d_u x D matrix and no dense one is formed.
+    """
+    g = _likelihood_term(obs).grad_on_omega(w)
     if not np.any(g):
         return 0.0
-    return rank1_svd(g, tol=1e-12)[1]
+    return rank1_svd(obs.to_csr(g), tol=1e-12)[1]
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,13 @@ stop test (:func:`_settled`) and the flags and result (:func:`_result`).
 The inexact solver keeps every iterate as thin factors and evaluates the
 data term on Omega from them.  Its SVT input Z = X - grad(X) / L, at the
 extrapolated point X, takes the gradient from X's entries on Omega and is
-either built as a dense matrix or, on sparsely observed data, applied as
-the operator "low rank + sparse on Omega"
-(:class:`~heteromc.lowrank.SparsePlusLowRank`), so no d_u x D array is
-formed there and memory stays O(nnz + (d_u + D) r).
-:data:`DENSE_Z_MIN_DENSITY` chooses between the two.  The exact-SVT
-driver stays dense, since a full SVD needs the matrix.
+either built as a dense matrix or applied as the operator "low rank +
+sparse on Omega" (:class:`~heteromc.lowrank.SparsePlusLowRank`), so no
+d_u x D array is formed there and memory stays O(nnz + (d_u + D) r).
+Z is dense when the matrix has at most :data:`DENSE_Z_MAX_ENTRIES`
+entries or more than :data:`DENSE_Z_MIN_FILL` of it is observed, and
+structured otherwise; :attr:`FitResult.z_form` records the choice.  The
+exact-SVT driver stays dense, since a full SVD needs the matrix.
 """
 
 from __future__ import annotations
@@ -53,18 +54,27 @@ from .objectives import (
     solver_loss_terms,
 )
 
-# Observed fraction nnz / (d_u D) above which plais_impute builds Z densely.
-# One power step Z Z^T Q with a width-20 low-rank part, dense vs structured
-# (2 CPUs, 1 BLAS thread; the scipy sparse product is single-threaded):
-#   3000 x 3000,  p=0.05, k=30:   61 vs  16 ms
-#   2000 x 2100,  p=0.1,  k=40:   29 vs  18 ms;  k=100: 55 vs 49 ms;
-#                         k=300: 108 vs 113 ms
-#   300 x 300,    p=0.2,  k=140: 1.4 vs 2.7 ms;  p=0.6, k=30: 0.5 vs 1.8 ms
-# A whole 2000 x 2100, p=0.1 fit (warm start up to 51 wide) took 3.6 s
-# dense and 1.7-1.8 s structured, so at such widths the structured form
-# wins at p=0.1 as well, while the desk-scale sizes still need the dense
-# form; a single density rule for both regimes is still open.
-DENSE_Z_MIN_DENSITY = 0.075
+# plais_impute builds Z as a dense d_u x D array when d_u D <= DENSE_Z_MAX_ENTRIES
+# or nnz > DENSE_Z_MIN_FILL d_u D, and as SparsePlusLowRank otherwise.  Whole
+# fits, structured / dense time (medians of 3; 2 CPUs, 1 BLAS thread; 3
+# sources of D / 3 columns, rank 5 each, lambda = 0.01 L sigma_1(Y),
+# init_rank=25, basis_drop=1e-3; same ranks and iteration counts, objectives
+# within 6e-11 relative):
+#   d_u x D       p=0.05  0.1   0.2   0.3   0.45  0.6   0.8   (dense s at p=0.2)
+#   300 x 300      1.01   1.05  1.14  1.11  1.28  1.33  1.47   0.17
+#   450 x 450      0.91   1.04  1.02  1.03  1.13  1.32  1.44   0.22
+#   600 x 600      0.87   1.02  0.92  0.94  1.10  1.20  1.38   0.27
+#   750 x 750      0.78   1.02  0.78  0.89  1.02  1.25  1.28   0.28
+#   1000 x 999     0.67   0.74  0.83  0.93  1.04  0.99  1.28   0.48
+#   1400 x 1401    0.65   0.63  0.66  0.80  0.97  1.08  1.23   1.12
+#   2000 x 2100    0.62   0.51  0.62  0.79  0.90  1.15  1.27   2.07
+# Up to 600 x 600 (360k entries) the structured form saves at most 8 % from
+# p=0.1 on and loses up to 47 %; from 750 x 750 (562k) on it saves up to 49 %
+# below half observed and loses above.  The size bound sits between the two
+# rungs.  Below it, 450 x 450 and 600 x 600 at p=0.05 run 9-13 % (at most
+# 0.1 s) faster structured, which the rule gives up for its simple shape.
+DENSE_Z_MAX_ENTRIES = 2**19
+DENSE_Z_MIN_FILL = 0.5
 # Columns beyond the current rank in each warm start of plais_impute's
 # approximate SVT, and so the most the iterate's rank can grow per iteration.
 WARM_SLACK = 5
@@ -142,7 +152,9 @@ class FitResult:
     ``restarts`` the iterations where the objective increased and the
     momentum counter was reset.  ``objective_history`` starts with the
     objective at the starting point in both drivers; ``rank_history`` starts
-    with its rank only in :func:`plais_impute`.
+    with its rank only in :func:`plais_impute`.  ``z_form`` is how the SVT
+    input was held: ``"dense"``, a d_u x D array, or ``"structured"``, the
+    sparse-plus-low-rank operator (only :func:`plais_impute` uses it).
     """
 
     factors: ThinFactors
@@ -155,6 +167,7 @@ class FitResult:
     input_rank_history: list[int] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
     config: SolverConfig | None = None
+    z_form: Literal["dense", "structured"] = "dense"
 
     def to_dict(self) -> dict:
         return {
@@ -167,6 +180,7 @@ class FitResult:
             "terminated_by": self.terminated_by,
             "wall_time_ms": self.wall_time * 1e3,
             "flags": list(self.flags),
+            "z_form": self.z_form,
         }
 
 
@@ -371,8 +385,9 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     Iterates are thin factors, and the data term is evaluated on Omega
     from them.  The gradient at the extrapolated point is taken from its
     entries on Omega, (1 + theta) eta_t - theta eta_{t-1}, computed from the
-    cached entries of the last two iterates.  Z is dense when the observed
-    fraction exceeds :data:`DENSE_Z_MIN_DENSITY` and an operator otherwise;
+    cached entries of the last two iterates.  Z is a dense array when
+    d_u D <= :data:`DENSE_Z_MAX_ENTRIES` or nnz > :data:`DENSE_Z_MIN_FILL`
+    d_u D, and the sparse-plus-low-rank operator otherwise (``z_form``);
     that choice sets only Z's storage, and both give the same iterates up
     to rounding.  ``flags`` gains ``"power_not_converged"`` when any power
     method stopped at its iteration cap.
@@ -383,7 +398,8 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     cfg, start, lam, term, value, grad = _begin(obs, cfg)
     big_l = cfg.lipschitz
     layout = obs.layout
-    dense_z = obs.n > DENSE_Z_MIN_DENSITY * layout.d_u * layout.D
+    entries = layout.d_u * layout.D
+    dense_z = entries <= DENSE_Z_MAX_ENTRIES or obs.n > DENSE_Z_MIN_FILL * entries
 
     u0, sigma1, v0 = rank1_svd(obs.to_csr())
     lam0 = big_l * sigma1
@@ -447,4 +463,5 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
         f_cur = f_next
     return _result(factors, cfg, start, lam, terminated_by, power_capped,
                    rank_history=rank_history, objective_history=objective_history,
-                   restarts=restarts, input_rank_history=input_rank_history)
+                   restarts=restarts, input_rank_history=input_rank_history,
+                   z_form="dense" if dense_z else "structured")

@@ -47,18 +47,22 @@ from conftest import ALL_FAMILIES, domain_matrix, gaussian_instance, make_obs
 
 
 class budget:
-    """Context manager asserting the criterion's wall-clock budget."""
+    """Context manager asserting the criterion's budget in process CPU seconds.
+
+    CPU time, not wall time, so that other load on the machine does not
+    count against the criterion.
+    """
 
     def __init__(self, number, name, seconds):
         self.number, self.name, self.seconds = number, name, seconds
 
     def __enter__(self):
-        self.start = time.perf_counter()
+        self.start = time.process_time()
         return self
 
     def __exit__(self, exc_type, exc, tb):
         if exc_type is None:
-            elapsed = time.perf_counter() - self.start
+            elapsed = time.process_time() - self.start
             assert elapsed < self.seconds, (
                 f"criterion {self.number} exceeded {self.seconds}s budget "
                 f"({elapsed:.1f}s)")

@@ -15,9 +15,11 @@ from heteromc import (
     g_prime,
     g_value,
     grad_neg_log_likelihood,
+    grad_operator_norm,
     lipschitz_grad_constant,
     neg_log_likelihood,
     nuclear_norm,
+    rank1_svd,
     strong_convexity_bounds,
 )
 from heteromc.objectives import DataTerm, solver_loss_terms
@@ -189,6 +191,14 @@ def test_nuclear_norm_values(rng):
     assert nuclear_norm(5.0 * np.outer(u, v)) == pytest.approx(5.0)
     a = rng.normal(size=(7, 5))
     assert nuclear_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False).sum())
+
+
+def test_grad_operator_norm_matches_the_dense_gradient(rng):
+    # gaussian variance 2 plus poisson, so the gradient is not a unit-scale residual
+    obs, truth = curved_instance(seed=4)
+    for w in (truth.values, 0.5 * truth.values + 0.1 * rng.normal(size=truth.values.shape)):
+        dense = rank1_svd(grad_neg_log_likelihood(obs, w).values, tol=1e-12)[1]
+        assert grad_operator_norm(obs, w) == pytest.approx(dense, rel=1e-10, abs=0)
 
 
 def test_objective_convexity_along_segments(rng):

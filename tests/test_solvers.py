@@ -217,6 +217,7 @@ def test_plais_callback_and_result_fields():
     assert len(fit.input_rank_history) == len(fit.rank_history) - 1
     d = fit.to_dict()
     assert d["wall_time_ms"] >= 0 and d["lambda"] == fit.lambda_used
+    assert d["z_form"] == fit.z_form == "dense"  # 24 x 32 is below the size bound
 
 
 def test_plais_general_loss_logistic():
@@ -395,15 +396,23 @@ def _sparse_fit_setup(mode):
                              lam=data_scale_lambda(obs, lip), lipschitz=lip, init_rank=10)
 
 
+def force_z_form(monkeypatch, form):
+    """Set plais_impute's two Z-form bounds so that every instance takes ``form``."""
+    max_entries, min_fill = {"dense": (math.inf, 0.0), "structured": (0, 1.0)}[form]
+    monkeypatch.setattr(solvers, "DENSE_Z_MAX_ENTRIES", max_entries)
+    monkeypatch.setattr(solvers, "DENSE_Z_MIN_FILL", min_fill)
+
+
 @pytest.mark.parametrize("mode", ["likelihood", "general_loss", "curved"])
 def test_plais_dense_and_structured_z_give_the_same_fit(monkeypatch, mode):
     obs, cfg = _sparse_fit_setup(mode)
     if mode == "curved":
         assert cfg.lipschitz == pytest.approx(4.0 / (obs.layout.d_u * obs.layout.D))
     fits = []
-    for crossover in (0.0, 1.0):  # every instance dense, then none
-        monkeypatch.setattr(solvers, "DENSE_Z_MIN_DENSITY", crossover)
+    for form in ("dense", "structured"):
+        force_z_form(monkeypatch, form)
         fits.append(plais_impute(obs, cfg))
+        assert fits[-1].z_form == form
     dense, structured = fits
     assert dense.terminated_by == structured.terminated_by == "tolerance"
     assert dense.rank_history == structured.rank_history
@@ -418,11 +427,30 @@ def test_plais_structured_z_builds_no_dense_matrix(monkeypatch):
     def forbidden(self):
         raise AssertionError("built a d_u x D matrix")
 
-    monkeypatch.setattr(solvers, "DENSE_Z_MIN_DENSITY", 1.0)
+    force_z_form(monkeypatch, "structured")
     monkeypatch.setattr(ObservationSet, "dense_y", forbidden)
     monkeypatch.setattr(ThinFactors, "to_matrix", forbidden)
     fit = plais_impute(obs, cfg)
+    assert fit.z_form == "structured"
     assert fit.terminated_by == "tolerance" and fit.factors.rank > 0
+
+
+# 1024 columns: 512 rows make exactly DENSE_Z_MAX_ENTRIES = 2**19 entries, and
+# 513 * 512 observations are exactly DENSE_Z_MIN_FILL = 1/2 of 513 rows
+@pytest.mark.parametrize("d_u, nnz, form", [
+    (512, 2**16, "dense"),  # at the size bound, an eighth observed
+    (513, 2**16, "structured"),  # one row past it
+    (513, 513 * 512, "structured"),  # half observed
+    (513, 513 * 512 + 1, "dense"),  # one entry more than half
+])
+def test_plais_picks_the_z_form_by_size_and_fill(d_u, nnz, form):
+    assert solvers.DENSE_Z_MAX_ENTRIES == 512 * 1024 and solvers.DENSE_Z_MIN_FILL == 0.5
+    flat = np.arange(nnz)
+    y = np.random.default_rng(3).standard_normal(nnz)
+    obs = ObservationSet(BlockLayout(d_u, (1024,)), np.zeros(nnz, dtype=int),
+                         flat // 1024, flat % 1024, y, (GAUSS,))
+    fit = plais_impute(obs, SolverConfig(lam=1e-9, max_iters=1))
+    assert fit.z_form == fit.to_dict()["z_form"] == form
 
 
 def test_plais_flags_a_power_method_at_its_cap(monkeypatch):
@@ -458,11 +486,12 @@ def test_plais_power_tolerance_stops_at_the_float64_floor(monkeypatch):
     assert min(deltas) >= solvers.POWER_GAP_FLOOR > 0.5**60 * np.linalg.norm(obs.y)
 
 
-@pytest.mark.parametrize("crossover", [0.0, 1.0])  # dense Z, then structured Z
-def test_plais_warm_start_is_at_most_the_rank_plus_the_slack(monkeypatch, crossover):
+@pytest.mark.parametrize("form", ["dense", "structured"])
+def test_plais_warm_start_is_at_most_the_rank_plus_the_slack(monkeypatch, form):
     obs, cfg = _sparse_fit_setup("likelihood")
-    monkeypatch.setattr(solvers, "DENSE_Z_MIN_DENSITY", crossover)
+    force_z_form(monkeypatch, form)
     fit = plais_impute(obs, cfg)
+    assert fit.z_form == form
     assert fit.input_rank_history[0] == cfg.init_rank
     for t in range(1, len(fit.input_rank_history)):
         assert fit.input_rank_history[t] <= fit.rank_history[t] + solvers.WARM_SLACK, t
