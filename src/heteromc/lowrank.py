@@ -4,9 +4,9 @@ The approximate path follows the warm-started subspace (power) iteration:
 once an orthonormal basis Q captures the top left singular subspace of Z,
 thresholding the small matrix Q^T Z, whose SVD each power step takes as
 Rayleigh-Ritz pairs, reproduces the thresholding of Z itself.  Only the
-singular directions above the threshold survive that step, so the
-iteration stops once the Ritz subspace above the threshold has settled,
-whatever the rest of Q still does.
+singular directions above the threshold survive that step, so the iteration
+stops once the Ritz subspace above the threshold has settled, whatever the
+rest of Q does; the right Ritz vectors below it seed a caller's next start.
 That path touches Z only through the products ``z @ x`` and ``z.T @ y``, so
 Z may be a dense array or a :class:`SparsePlusLowRank` operator, which a
 solver on sparsely observed data uses to never form a d_u x D matrix.
@@ -145,7 +145,7 @@ def _refill(q: np.ndarray, width: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def power_method(z, r0: np.ndarray, delta: float, max_iters: int = 100,
-                 lam: float = 0.0) -> tuple[np.ndarray, bool, np.ndarray]:
+                 lam: float = 0.0) -> tuple[np.ndarray, bool, np.ndarray, np.ndarray]:
     """Warm-started subspace iteration for the top left singular subspace of z.
 
     Only the span of the warm start ``r0`` matters; its columns need not be
@@ -158,13 +158,15 @@ def power_method(z, r0: np.ndarray, delta: float, max_iters: int = 100,
     by at most ``delta`` in projector Frobenius norm, so a tail below
     ``lam`` that is still moving does not hold it up; ``lam = 0`` tests the
     whole basis.  A Ritz value crossing ``lam`` changes the width of ``p``
-    and so the gap by at least 1.  Returns the last step's ``(p, converged,
-    y @ vec)``: ``y @ vec == z.T @ p`` has orthogonal columns whose norms
-    are the Ritz values.  A rank-deficient step keeps the narrower basis of
-    its numerical range, so ``p`` can have fewer columns than the warm start
-    (none when ``z @ r0`` vanishes).  Non-finite products raise
-    ``LinAlgError``.  ``z`` is a dense matrix or anything with ``@`` and
-    ``.T``, such as a :class:`SparsePlusLowRank`.
+    and so the gap by at least 1; one step (``max_iters=1``) tests nothing.
+    Returns the last step's ``(p, converged, y @ vec, tail)``: ``y @ vec ==
+    z.T @ p`` has orthogonal columns whose norms are the Ritz values, and
+    ``tail`` holds, as unit columns in descending order, the right Ritz
+    vectors whose Ritz values are nonzero and at most ``lam``.  A
+    rank-deficient step keeps the narrower basis of its numerical range, so
+    ``p`` can have fewer columns than ``r0`` (none when ``z @ r0``
+    vanishes).  Non-finite products raise ``LinAlgError``.  ``z`` is a dense
+    matrix or anything with ``@`` and ``.T``, such as a SparsePlusLowRank.
     """
     z = _operand(z)
     r0 = np.asarray(r0, dtype=float)
@@ -185,16 +187,19 @@ def power_method(z, r0: np.ndarray, delta: float, max_iters: int = 100,
             gram = y.T @ y
             # finite only if y is and forming it did not overflow
             _require_finite(gram)
-            # the Gram's eigenvalues are the squared Ritz values, the squared
-            # singular values of Q^T Z that approx_svt thresholds at lam
-            ritz_sq, vec = np.linalg.eigh(gram)
-            vec = vec[:, ritz_sq > lam * lam][:, ::-1]
-            p = q @ vec
+            # the Gram's eigenvectors are the Ritz vectors of Q^T Z; a Ritz value is a
+            # column norm of y @ vec, as a Gram eigenvalue squares the conditioning
+            vec = np.linalg.eigh(gram)[1][:, ::-1]
+            ritz = y @ vec
+            sigma = np.linalg.norm(ritz, axis=0)
+            above = sigma > lam
+            p = q @ vec[:, above]
             if prev_p is not None and _subspace_gap(p, prev_p) <= delta:
                 converged = True
                 break
             prev_p = p
-    return p, converged, y @ vec
+    below = ~above & (sigma > 0)
+    return p, converged, ritz[:, above], ritz[:, below] / sigma[below]
 
 
 def _require_finite(m: np.ndarray) -> None:
@@ -203,25 +208,24 @@ def _require_finite(m: np.ndarray) -> None:
 
 
 def approx_svt(z, r0: np.ndarray, lam: float, delta: float,
-               max_iters: int = 100) -> tuple[ThinFactors, bool]:
+               max_iters: int = 100) -> tuple[ThinFactors, bool, np.ndarray]:
     """Approximate SVT: the threshold step on the power method's Ritz pairs.
 
     The power method stops on the subspace above ``lam`` and hands over its
     last Rayleigh-Ritz pairs (see :func:`power_method`), the SVD of the
-    small ``Q^T Z``.  Each singular value is a column norm of ``y = Z^T p``,
-    not the root of a Gram eigenvalue, which would square the conditioning.
-    Returns ``(factors, converged)``, where ``converged`` is the power
-    method's: false when it stopped at ``max_iters`` with the gap above
-    ``delta``.  With a warm start spanning the surviving subspace the result
-    matches :func:`svt_exact`; at most ``r0.shape[1]`` singular values
-    survive.  Ties ``sigma_i == lam`` are excluded, matching the zero shift
-    there.  ``z`` may be an operator, as for :func:`power_method`, and is
-    applied only inside it.
+    small ``Q^T Z``, whose singular values are the column norms of
+    ``y = Z^T p``.  Returns ``(factors, converged, tail)``, the last two the
+    power method's: ``converged`` is false when it stopped at ``max_iters``
+    with the gap above ``delta`` or took one step, and ``tail``, its right
+    Ritz vectors at or below ``lam``, is orthogonal to ``factors.v``.  With
+    a warm start spanning the surviving subspace the result matches
+    :func:`svt_exact`; at most ``r0.shape[1]`` singular values survive.
+    Ties ``sigma_i == lam`` are excluded, matching the zero shift there.
+    ``z`` may be an operator and is applied only inside the power method.
     """
-    p, converged, y = power_method(z, r0, delta, max_iters=max_iters, lam=lam)
+    p, converged, y, tail = power_method(z, r0, delta, max_iters=max_iters, lam=lam)
     sigma = np.linalg.norm(y, axis=0)
-    keep = sigma > lam
-    return ThinFactors(p[:, keep], sigma[keep] - lam, y[:, keep] / sigma[keep]), converged
+    return ThinFactors(p, sigma - lam, y / sigma), converged, tail
 
 
 def rank1_svd(y, tol: float = 1e-10, max_iters: int = 1000) -> tuple[np.ndarray, float, np.ndarray]:

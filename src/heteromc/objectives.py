@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.sparse.linalg import svds
 from scipy.special import expit
 
 from .data import CollectiveMatrix, ObservationSet
 from .families import g_prime, g_value, bregman, strong_convexity_bounds
-from .lowrank import ThinFactors, _values, rank1_svd
+from .lowrank import ThinFactors, _values
 
 LOSS_KINDS = ("hinge", "logistic", "quantile")
 
@@ -163,15 +164,19 @@ def lipschitz_grad_constant(obs: ObservationSet) -> float:
 
 
 def grad_operator_norm(obs: ObservationSet, w) -> float:
-    """Spectral norm of the likelihood gradient, by power iteration.
+    """Spectral norm of the likelihood gradient, by ARPACK's ``svds``.
 
-    The gradient vanishes off Omega, so the iteration runs on its sparse
-    d_u x D matrix and no dense one is formed.
+    The gradient vanishes off Omega, so ``svds`` runs, from a fixed start
+    vector, on its sparse d_u x D matrix and no dense one is formed.
     """
     g = _likelihood_term(obs).grad_on_omega(w)
     if not np.any(g):
         return 0.0
-    return rank1_svd(obs.to_csr(g), tol=1e-12)[1]
+    csr = obs.to_csr(g)
+    if min(csr.shape) == 1:  # svds needs k < min(shape); a vector's norm is its own
+        return float(np.linalg.norm(g))
+    v0 = np.random.default_rng(4211).standard_normal(min(csr.shape))
+    return float(svds(csr, k=1, v0=v0, return_singular_vectors=False)[0])
 
 
 @dataclass(frozen=True)

@@ -78,11 +78,6 @@ DENSE_Z_MIN_FILL = 0.5
 # Columns beyond the current rank in each warm start of plais_impute's
 # approximate SVT, and so the most the iterate's rank can grow per iteration.
 WARM_SLACK = 5
-# Smallest subspace gap asked of a power method, per sqrt(warm-start width).
-# The gap of two float64 bases of k columns carries rounding of about
-# eps sqrt(k), so a smaller nu^t ||Y|| would run every late power method to
-# its iteration cap.
-POWER_GAP_FLOOR = 64 * np.finfo(float).eps
 
 
 class NumericalError(RuntimeError):
@@ -147,14 +142,15 @@ class FitResult:
     ``rank_history`` records the surviving rank of each accepted iterate,
     ``input_rank_history`` the columns of each warm start of the inexact
     solver that come from the last two iterates (``init_rank`` on the first
-    iteration, random padding excluded; at most the iterate's rank plus
-    :data:`WARM_SLACK` afterwards), and
-    ``restarts`` the iterations where the objective increased and the
-    momentum counter was reset.  ``objective_history`` starts with the
+    iteration; carried Ritz vectors and random padding excluded; at most the
+    iterate's rank plus :data:`WARM_SLACK` afterwards), and ``restarts`` the
+    iterations where the objective increased and the momentum counter was
+    reset.  ``objective_history`` starts with the
     objective at the starting point in both drivers; ``rank_history`` starts
     with its rank only in :func:`plais_impute`.  ``z_form`` is how the SVT
     input was held: ``"dense"``, a d_u x D array, or ``"structured"``, the
     sparse-plus-low-rank operator (only :func:`plais_impute` uses it).
+    The only flag is ``"zero_solution"``, set when the iterate is zero.
     """
 
     factors: ThinFactors
@@ -287,13 +283,9 @@ def _settled(f_next: float, f_cur: float, cfg: SolverConfig) -> bool:
 
 
 def _result(factors: ThinFactors, cfg: SolverConfig, start: float, lam: float,
-            terminated_by: str, power_capped: bool = False, **histories) -> FitResult:
+            terminated_by: str, **histories) -> FitResult:
     """Flags and the :class:`FitResult` of a finished solve."""
-    flags = []
-    if factors.rank == 0:
-        flags.append("zero_solution")
-    if power_capped:
-        flags.append("power_not_converged")
+    flags = ["zero_solution"] if factors.rank == 0 else []
     return FitResult(factors=factors, wall_time=time.perf_counter() - start,
                      terminated_by=terminated_by, lambda_used=lam, flags=flags,
                      config=cfg, **histories)
@@ -366,10 +358,12 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
 
     The per-iteration weight decays as nu^t (lam0 - lam) + lam from
     lam0 = lipschitz * sigma_1(Y) down to the target lam, so the SVT
-    threshold sweeps from sigma_1(Y) to lam/lipschitz.  The approximate SVT
-    of iteration t is warm-started from rank(W_t) + :data:`WARM_SLACK`
-    columns: the right basis of W_t, then the most novel directions of
-    W_{t-1}'s (see :func:`_warm_basis`), then random columns as needed.
+    threshold sweeps from sigma_1(Y) to lam/lipschitz.  Each approximate SVT
+    takes one power step, so the subspace iteration runs on across
+    iterations (AIS-Impute, Yao and Kwok 2015), from a warm start of
+    rank(W_t) + :data:`WARM_SLACK` columns: the right basis of W_t, the last
+    step's right Ritz vectors below the threshold in descending order, the
+    most novel directions of W_{t-1}'s (see :func:`_warm_basis`), random ones.
     The first iteration starts from ``init_rank`` + :data:`WARM_SLACK`
     columns when ``init_rank`` is set.  So the rank can grow by at most
     :data:`WARM_SLACK` per iteration, and the warm start stays near the
@@ -378,9 +372,7 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     extrapolation weight is theta = (c - 1) / (c + 2), 0 at c = 1; the
     counter c resets to 1 whenever the objective at the target weight
     increases.  Iterations stop when that objective's change falls within
-    ``epsilon``.  The power method of iteration t stops when its subspace
-    gap is at most nu^t ||Y||, or :data:`POWER_GAP_FLOOR` sqrt(width) once
-    that is larger.
+    ``epsilon``.
 
     Iterates are thin factors, and the data term is evaluated on Omega
     from them.  The gradient at the extrapolated point is taken from its
@@ -389,8 +381,7 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     d_u D <= :data:`DENSE_Z_MAX_ENTRIES` or nnz > :data:`DENSE_Z_MIN_FILL`
     d_u D, and the sparse-plus-low-rank operator otherwise (``z_form``);
     that choice sets only Z's storage, and both give the same iterates up
-    to rounding.  ``flags`` gains ``"power_not_converged"`` when any power
-    method stopped at its iteration cap.
+    to rounding.
 
     ``iter_callback(t, lam_t, rank, objective)`` is invoked once per
     iteration when given.
@@ -403,11 +394,11 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
 
     u0, sigma1, v0 = rank1_svd(obs.to_csr())
     lam0 = big_l * sigma1
-    delta0 = float(np.linalg.norm(obs.y))
     width_cap = min(layout.d_u, layout.D)
 
     factors = ThinFactors(u0.reshape(-1, 1), np.array([sigma1]), v0.reshape(-1, 1))
     factors_prev = factors
+    tail = np.zeros((layout.D, 0))
     eta = eta_prev = term.gather(factors)
     f_cur = _check_finite(value(eta) + lam * sigma1)
     c = 1
@@ -415,7 +406,6 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     rank_history = [1]
     input_rank_history: list[int] = []
     restarts: list[int] = []
-    power_capped = False
     terminated_by = "max_iters"
     for t in range(1, cfg.max_iters + 1):
         lam_t = cfg.nu**t * (lam0 - lam) + lam
@@ -429,18 +419,18 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
             z += a @ b.T
         else:
             z = SparsePlusLowRank(a, b, obs.to_csr(-term.grad_on_omega(eta_x) / big_l))
+        r = carried = factors.rank
         basis = _warm_basis(factors.v, factors_prev.v, cfg.basis_drop)
-        carried = factors.rank
+        # the tail in Ritz order: _warm_basis's SVD would rotate it by rounding
+        basis = np.hstack([basis[:, :r], tail, basis[:, r:]])
         if t == 1 and cfg.init_rank is not None:
             carried = min(cfg.init_rank, width_cap)
             basis = _refill(basis, carried, np.random.default_rng((8081, t)))
         width = min(carried + WARM_SLACK, width_cap)
         basis = basis[:, :width]
-        input_rank_history.append(basis.shape[1])
+        input_rank_history.append(basis.shape[1] - min(tail.shape[1], width - r))
         padded = _refill(basis, width, np.random.default_rng((8082, t)))
-        delta_t = max(cfg.nu**t * delta0, POWER_GAP_FLOOR * math.sqrt(padded.shape[1]))
-        new_factors, converged = approx_svt(z, padded, lam_t / big_l, delta_t)
-        power_capped = power_capped or not converged
+        new_factors, _, tail = approx_svt(z, padded, lam_t / big_l, 0.0, max_iters=1)
         eta_next = term.gather(new_factors)
         f_next = _check_finite(value(eta_next) + lam * new_factors.nuclear)
         if f_next > f_cur:
@@ -461,7 +451,7 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
             terminated_by = "tolerance"
             break
         f_cur = f_next
-    return _result(factors, cfg, start, lam, terminated_by, power_capped,
-                   rank_history=rank_history, objective_history=objective_history,
-                   restarts=restarts, input_rank_history=input_rank_history,
+    return _result(factors, cfg, start, lam, terminated_by, rank_history=rank_history,
+                   objective_history=objective_history, restarts=restarts,
+                   input_rank_history=input_rank_history,
                    z_form="dense" if dense_z else "structured")

@@ -104,7 +104,7 @@ def test_criterion_2_prox_oracle():
             exact = svt_exact(z, lam)
             for width in (5, 7, 9):
                 for delta in (1e-1, 1e-3, 1e-5, 1e-7):
-                    out, _ = approx_svt(z, rng.normal(size=(60, width)), lam, delta)
+                    out, _, _ = approx_svt(z, rng.normal(size=(60, width)), lam, delta)
                     gap = np.linalg.norm(out.to_matrix() - exact.to_matrix())
                     assert gap < 1e-6, f"width={width} delta={delta}: {gap:.2e}"
         # prox characterization: no perturbation beats the SVT output

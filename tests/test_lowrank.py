@@ -88,7 +88,7 @@ def test_qr_orthonormalize_basics(rng):
 def test_power_method_exact_rank(rng):
     z, _ = random_low_rank(20, 15, 4, rng)
     delta = 1e-8
-    q, converged, _ = power_method(z, rng.normal(size=(15, 4)), delta)
+    q, converged, _, _ = power_method(z, rng.normal(size=(15, 4)), delta)
     assert converged
     assert np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-10)
     resid = np.linalg.norm(z - q @ (q.T @ z))
@@ -102,14 +102,14 @@ def test_power_method_rank_one(rng):
     v /= np.linalg.norm(v)
     z = 4.0 * np.outer(u, v)
     delta = 1e-9
-    q, converged, _ = power_method(z, rng.normal(size=(9, 1)), delta)
+    q, converged, _, _ = power_method(z, rng.normal(size=(9, 1)), delta)
     assert converged
     assert abs(float(q[:, 0] @ u)) >= 1 - 10 * delta
 
 
 def test_power_method_huge_delta_one_iteration(rng):
     z = rng.normal(size=(8, 6))
-    q, converged, _ = power_method(z, rng.normal(size=(6, 3)), delta=1e3)
+    q, converged, _, _ = power_method(z, rng.normal(size=(6, 3)), delta=1e3)
     assert converged
     assert np.allclose(q.T @ q, np.eye(3), atol=1e-10)
 
@@ -120,16 +120,16 @@ def test_approx_svt_matches_exact_with_spanning_warm_start(rng):
     exact = svt_exact(z, lam)
     # warm start spanning the row space
     _, _, vt = np.linalg.svd(z, full_matrices=False)
-    out, _ = approx_svt(z, vt[:4].T, lam, delta=1e-10)
+    out, _, _ = approx_svt(z, vt[:4].T, lam, delta=1e-10)
     assert out.rank == exact.rank == 3
     assert np.linalg.norm(out.to_matrix() - exact.to_matrix()) < 1e-8
 
 
 def test_approx_svt_empty_and_diagonal(rng):
     z = np.diag([4.0, 2.0, 1.0])
-    out, _ = approx_svt(z, np.eye(3), lam=5.0, delta=1e-10)
+    out, _, _ = approx_svt(z, np.eye(3), lam=5.0, delta=1e-10)
     assert out.rank == 0
-    out2, _ = approx_svt(z, np.eye(3), lam=1.5, delta=1e-12)
+    out2, _, _ = approx_svt(z, np.eye(3), lam=1.5, delta=1e-12)
     assert np.allclose(out2.to_matrix(), np.diag([2.5, 0.5, 0.0]), atol=1e-10)
 
 
@@ -142,7 +142,7 @@ def test_approx_svt_gap_shrinks_with_delta(rng):
     exact = svt_exact(z, lam).to_matrix()
     gaps = []
     for delta in (1e-1, 1e-3, 1e-5, 1e-7):
-        out, _ = approx_svt(z, rng.normal(size=(30, 6)), lam, delta, max_iters=500)
+        out, _, _ = approx_svt(z, rng.normal(size=(30, 6)), lam, delta, max_iters=500)
         gaps.append(np.linalg.norm(out.to_matrix() - exact))
     for a, b in zip(gaps, gaps[1:]):
         assert b <= a + 1e-10
@@ -183,8 +183,8 @@ def test_power_method_iteration_cap_flag(rng):
     spectrum = np.array([10.0, 9.999, 9.998, 9.997])
     z, _ = random_low_rank(30, 25, 4, rng, spectrum)
     z += 0.5 * rng.normal(size=z.shape)
-    q, converged, _ = power_method(z, rng.normal(size=(25, 2)), delta=1e-14,
-                                   max_iters=2)
+    q, converged, _, _ = power_method(z, rng.normal(size=(25, 2)), delta=1e-14,
+                                      max_iters=2)
     assert not converged
     assert np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-10)
 
@@ -258,18 +258,38 @@ def test_subspace_gap_of_a_rotated_span_and_of_orthogonal_spans(rng):
 
 def test_approx_svt_reports_an_unconverged_power_method(rng):
     z = rng.normal(size=(20, 15))
-    out, converged = approx_svt(z, rng.normal(size=(15, 3)), lam=0.5, delta=1e-14,
-                                max_iters=1)
+    out, converged, _ = approx_svt(z, rng.normal(size=(15, 3)), lam=0.5, delta=1e-14,
+                                   max_iters=1)
     assert not converged and out.rank <= 3
-    _, converged = approx_svt(z, rng.normal(size=(15, 3)), lam=0.5, delta=1e3)
+    _, converged, _ = approx_svt(z, rng.normal(size=(15, 3)), lam=0.5, delta=1e3)
     assert converged
+
+
+def test_approx_svt_returns_the_sub_threshold_ritz_vectors(rng):
+    z = rng.normal(size=(30, 20))
+    s = np.linalg.svd(z, compute_uv=False)
+    lam = (s[3] + s[4]) / 2
+    r0 = rng.normal(size=(20, 9))
+    out, converged, tail = approx_svt(z, r0, lam, delta=0.0, max_iters=1)
+    assert not converged and tail.shape == (20, 9 - out.rank)
+    assert np.allclose(tail.T @ tail, np.eye(tail.shape[1]), rtol=0, atol=1e-10)
+    assert np.allclose(out.v.T @ tail, 0.0, rtol=0, atol=1e-10)
+    # the one step's Ritz values are those of Q^T Z, Q the range of z @ r0
+    ritz = np.linalg.norm(qr_orthonormalize(z @ r0).T @ z @ tail, axis=0)
+    assert np.all(ritz > 0) and np.all(ritz <= lam) and np.all(np.diff(ritz) < 0)
+    # from a full-width start the tail is svt_exact's discarded right subspace
+    out, converged, tail = approx_svt(z, rng.normal(size=(20, 20)), lam, delta=1e-10)
+    vt = np.linalg.svd(z)[2]
+    assert converged and out.rank == svt_exact(z, lam).rank == 4
+    assert _subspace_gap(tail, vt[4:].T) < 1e-8
+    assert np.allclose(np.linalg.norm(z @ tail, axis=0), s[4:], rtol=1e-10, atol=0)
 
 
 def test_power_method_converges_on_a_warm_start_wider_than_the_rank(rng):
     # rank-1 z, 2-column warm start: the dependent column is dropped, not
     # replaced, so the basis settles at width 1
     z = np.outer(rng.normal(size=6), rng.normal(size=5))
-    q, converged, _ = power_method(z, rng.normal(size=(5, 2)), delta=1e-8)
+    q, converged, _, _ = power_method(z, rng.normal(size=(5, 2)), delta=1e-8)
     assert converged
     assert q.shape == (6, 1)
     assert np.linalg.norm(z - q @ (q.T @ z)) <= 1e-8 * np.linalg.norm(z)
@@ -290,12 +310,12 @@ def test_ritz_stop_ignores_a_clustered_tail_below_the_threshold(rng):
     spectrum = np.concatenate([[20.0, 15.0, 10.0], 1.0 - 0.001 * np.arange(20)])
     z, _ = random_low_rank(60, 40, spectrum.size, rng, spectrum)
     lam, r0 = 3.0, rng.normal(size=(40, 8))
-    out, converged = approx_svt(z, r0, lam, delta=1e-8, max_iters=8)
+    out, converged, _ = approx_svt(z, r0, lam, delta=1e-8, max_iters=8)
     assert converged
     exact = svt_exact(z, lam)
     assert out.rank == exact.rank == 3
     assert np.linalg.norm(out.to_matrix() - exact.to_matrix()) < 1e-6
-    _, converged, _ = power_method(z, r0, delta=1e-8, max_iters=8, lam=0.0)
+    _, converged, _, _ = power_method(z, r0, delta=1e-8, max_iters=8, lam=0.0)
     assert not converged
 
 
@@ -320,7 +340,7 @@ def test_power_method_returns_its_last_product(rng, delta, max_iters):
     # a Ritz value never exceeds its singular value, so at most two of them
     # lie above a threshold between s[1] and s[2]
     for lam, width in ((0.0, 4), ((s[1] + s[2]) / 2, 2)):
-        q, converged, y = power_method(z, r0, delta, max_iters=max_iters, lam=lam)
+        q, converged, y, _ = power_method(z, r0, delta, max_iters=max_iters, lam=lam)
         assert y.shape == (15, q.shape[1])
         assert np.allclose(y, z.T @ q, rtol=0, atol=1e-12)
         assert q.shape[1] <= width and (q.shape[1] == width or not converged)
@@ -356,11 +376,11 @@ def test_approx_svt_applies_z_only_inside_the_power_method(rng, delta, max_iters
     a, b = rng.normal(size=(20, 6)), rng.normal(size=(15, 6))
     op = CountingOperator(a, b, sparse.csr_matrix((20, 15)))
     r0 = rng.normal(size=(15, 3))
-    out, converged = approx_svt(op, r0, lam=0.5, delta=delta, max_iters=max_iters)
+    out, converged, _ = approx_svt(op, r0, lam=0.5, delta=delta, max_iters=max_iters)
     # one z @ y and one z.T @ q per power step, nothing after the last
     assert op.calls[0] == 2 * steps
     assert converged == (delta > 1)
-    dense, _ = approx_svt(a @ b.T, r0, lam=0.5, delta=delta, max_iters=max_iters)
+    dense, _, _ = approx_svt(a @ b.T, r0, lam=0.5, delta=delta, max_iters=max_iters)
     assert np.allclose(out.to_matrix(), dense.to_matrix(), atol=1e-10)
 
 
@@ -392,7 +412,7 @@ def test_approx_svt_takes_its_factors_from_the_ritz_pairs(rng, monkeypatch, stru
     for module, names in ((np.linalg, calls), (linalg, ("qr",))):
         for name in names:
             monkeypatch.setattr(module, name, counted(module, name))
-    out, converged = approx_svt(form, rng.normal(size=(n, 15)), lam, delta=1e-10)
+    out, converged, _ = approx_svt(form, rng.normal(size=(n, 15)), lam, delta=1e-10)
     monkeypatch.undo()
     assert converged and out.rank == exact.rank == 11
     ref = exact.to_matrix()

@@ -680,7 +680,7 @@ def test_svt_is_the_nuclear_norm_prox(m, n, r, density, data, seed):
     k = min(x.rank + 1, int(np.sum(s_all > floor)))
     r0 = np.linalg.svd(z)[2][:k].T
     for form in (z, op):
-        out, converged = approx_svt(form, r0, tau, delta=1e-8)
+        out, converged, _ = approx_svt(form, r0, tau, delta=1e-8)
         assert converged and out.rank == x.rank
         assert np.allclose(out.to_matrix(), x.to_matrix(), atol=1e-8)
 

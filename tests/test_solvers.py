@@ -453,37 +453,34 @@ def test_plais_picks_the_z_form_by_size_and_fill(d_u, nnz, form):
     assert fit.z_form == fit.to_dict()["z_form"] == form
 
 
-def test_plais_flags_a_power_method_at_its_cap(monkeypatch):
+def test_plais_takes_one_power_step_and_carries_the_tail_ahead_of_the_last_basis(monkeypatch):
     obs, cfg = _sparse_fit_setup("likelihood")
-    capped = solvers.approx_svt
-    monkeypatch.setattr(solvers, "approx_svt",
-                        lambda *args: capped(*args, max_iters=1))
-    assert plais_impute(obs, cfg).flags.count("power_not_converged") == 1
-
-
-def test_plais_power_tolerance_stops_at_the_float64_floor(monkeypatch):
-    # epsilon = 1e-300 lets nu^t ||Y|| fall to 1e-17 by iteration 60, below
-    # the rounding of a subspace gap; without the floor 8 power methods of
-    # this fit run to their cap
-    syn = SyntheticConfig(60, (20, 20, 20), (2, 2, 2), ("gaussian", "poisson", "bernoulli"),
-                          seed=0)
-    fams = (ExpFamilyModel("gaussian", 2.0),) * 3
-    obs = mask_sample(generate_synthetic(syn), SamplingScheme.uniform(0.6), 1, fams)
-    lip = tight_lipschitz(obs)
-    cfg = SolverConfig(lam=data_scale_lambda(obs, lip, rel=0.01), lipschitz=lip, nu=0.5,
-                       epsilon=1e-300, max_iters=60, init_rank=10, basis_drop=1e-3)
-    deltas = []
+    calls = []
     svt = solvers.approx_svt
 
-    def recording(z, r0, lam, delta):
-        deltas.append(delta)
-        return svt(z, r0, lam, delta)
+    def recording(*args, **kwargs):
+        out = svt(*args, **kwargs)
+        calls.append((args[1], kwargs, out))
+        return out
 
     monkeypatch.setattr(solvers, "approx_svt", recording)
-    fit = plais_impute(obs, cfg)
-    assert fit.flags == []
-    assert len(deltas) == 60
-    assert min(deltas) >= solvers.POWER_GAP_FLOOR > 0.5**60 * np.linalg.norm(obs.y)
+    assert plais_impute(obs, cfg).terminated_by == "tolerance"
+    assert all(kwargs == {"max_iters": 1} for _, kwargs, _ in calls)
+    # after V_t come the last call's sub-threshold Ritz vectors, in their
+    # order; V_{t-1}'s directions only follow them
+    shared = 0
+    for t in range(2, len(calls)):
+        r0 = calls[t][0]
+        (cur, _, tail), prev = calls[t - 1][2], calls[t - 2][2][0]
+        r = cur.rank
+        k = min(tail.shape[1], r0.shape[1] - r)
+        assert np.array_equal(r0[:, :r], cur.v)
+        assert np.array_equal(r0[:, r:r + k], tail[:, :k])
+        if k < r0.shape[1] - r:
+            span = np.linalg.qr(np.hstack([cur.v, prev.v]))[0]
+            after = r0[:, r + k]
+            shared += k > 0 and np.linalg.norm(after - span @ (span.T @ after)) < 1e-10
+    assert shared > 0
 
 
 @pytest.mark.parametrize("form", ["dense", "structured"])
