@@ -52,19 +52,6 @@ class BlockLayout:
     def col_offsets(self) -> tuple[int, ...]:
         return tuple(int(o) for o in self._offsets[:-1])
 
-    def global_col(self, v: int, j: int) -> int:
-        """Map a (source, local column) pair to its global column."""
-        if not 0 <= v < self.V or not 0 <= j < self.d_vs[v]:
-            raise ValueError(f"(v={v}, j={j}) outside layout")
-        return int(self._offsets[v] + j)
-
-    def split_col(self, col: int) -> tuple[int, int]:
-        """Inverse of :meth:`global_col`."""
-        if not 0 <= col < self.D:
-            raise ValueError(f"column {col} outside layout")
-        v = int(np.searchsorted(self._offsets, col, side="right") - 1)
-        return v, int(col - self._offsets[v])
-
     def block_cols(self, v: int) -> slice:
         return slice(int(self._offsets[v]), int(self._offsets[v + 1]))
 

@@ -14,9 +14,9 @@ either built as a dense matrix or applied as the operator "low rank +
 sparse on Omega" (:class:`~heteromc.lowrank.SparsePlusLowRank`), so no
 d_u x D array is formed there and memory stays O(nnz + (d_u + D) r).
 Z is dense when the matrix has at most :data:`DENSE_Z_MAX_ENTRIES`
-entries or more than :data:`DENSE_Z_MIN_FILL` of it is observed, and
-structured otherwise; :attr:`FitResult.z_form` records the choice.  The
-exact-SVT driver stays dense, since a full SVD needs the matrix.
+entries and structured otherwise; :attr:`FitResult.z_form` records the
+choice.  The exact-SVT driver stays dense, since a full SVD needs the
+matrix.
 """
 
 from __future__ import annotations
@@ -54,27 +54,24 @@ from .objectives import (
     solver_loss_terms,
 )
 
-# plais_impute builds Z as a dense d_u x D array when d_u D <= DENSE_Z_MAX_ENTRIES
-# or nnz > DENSE_Z_MIN_FILL d_u D, and as SparsePlusLowRank otherwise.  Whole
-# fits, structured / dense time (medians of 3; 2 CPUs, 1 BLAS thread; 3
-# sources of D / 3 columns, rank 5 each, lambda = 0.01 L sigma_1(Y),
-# init_rank=25, basis_drop=1e-3; same ranks and iteration counts, objectives
-# within 6e-11 relative):
-#   d_u x D       p=0.05  0.1   0.2   0.3   0.45  0.6   0.8   (dense s at p=0.2)
-#   300 x 300      1.01   1.05  1.14  1.11  1.28  1.33  1.47   0.17
-#   450 x 450      0.91   1.04  1.02  1.03  1.13  1.32  1.44   0.22
-#   600 x 600      0.87   1.02  0.92  0.94  1.10  1.20  1.38   0.27
-#   750 x 750      0.78   1.02  0.78  0.89  1.02  1.25  1.28   0.28
-#   1000 x 999     0.67   0.74  0.83  0.93  1.04  0.99  1.28   0.48
-#   1400 x 1401    0.65   0.63  0.66  0.80  0.97  1.08  1.23   1.12
-#   2000 x 2100    0.62   0.51  0.62  0.79  0.90  1.15  1.27   2.07
-# Up to 600 x 600 (360k entries) the structured form saves at most 8 % from
-# p=0.1 on and loses up to 47 %; from 750 x 750 (562k) on it saves up to 49 %
-# below half observed and loses above.  The size bound sits between the two
-# rungs.  Below it, 450 x 450 and 600 x 600 at p=0.05 run 9-13 % (at most
-# 0.1 s) faster structured, which the rule gives up for its simple shape.
+# plais_impute builds Z as a dense d_u x D array when d_u D <=
+# DENSE_Z_MAX_ENTRIES, whatever the fill, and as SparsePlusLowRank otherwise.
+# Whole fits, one power step per iteration, structured / dense time
+# (medians of 5; 2 CPUs, 1 BLAS thread; 3 sources of D / 3 columns, rank 5
+# each, lambda = 0.01 L sigma_1(Y), init_rank=25, basis_drop=1e-3; same
+# ranks and iteration counts, objectives within 3e-16 relative):
+#   d_u x D       p=0.05  0.1   0.2   0.3   0.45  0.6   0.8   (dense s at p=0.8)
+#   300 x 300      0.88   0.92  0.98  1.02  1.09  1.16  1.18   0.07
+#   600 x 600      0.69   0.74  0.72  0.99  0.99  1.00  1.16   0.26
+#   750 x 750      0.64   0.74  0.73  0.83  0.93  0.92  1.06   0.40
+#   2000 x 2100    0.46   0.48  0.57  0.67  0.89  0.82  1.01   2.95
+# From 750 x 750 (562k entries) on, the structured form loses at most 8 % at
+# any fill (1000 x 999 and 1400 x 1401 too), so fill does not pick the form
+# there.  Up to 600 x 600 (360k), as at desk sizes, the dense form wins by
+# up to 23 % at high fill; the bound sits between the two rungs.  Below it,
+# 450 x 450 and 600 x 600 at p <= 0.2 run 13-31 % faster structured, which
+# the rule gives up for its one bound.
 DENSE_Z_MAX_ENTRIES = 2**19
-DENSE_Z_MIN_FILL = 0.5
 # Columns beyond the current rank in each warm start of plais_impute's
 # approximate SVT, and so the most the iterate's rank can grow per iteration.
 WARM_SLACK = 5
@@ -328,19 +325,18 @@ def apg_solve(obs: ObservationSet, cfg: SolverConfig | None = None) -> FitResult
 
 def _warm_basis(v_cur: np.ndarray, v_prev: np.ndarray,
                 drop_tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the span of the current and previous right bases.
+    """Orthonormal directions that the previous right basis adds to the current one.
 
-    The current columns come first, so truncation keeps them.  The left
-    singular vectors of the previous basis's residual against them,
-    ``v_prev - v_cur v_cur^T v_prev``, follow in descending order of
-    singular value, so the most novel directions come next; those whose
-    singular value is at most ``drop_tol`` carry no usable warm-start
-    information and are dropped.  A dropped previous column takes no
-    direction from the kept ones, as it would in an unpivoted QR of
-    ``[v_cur, v_prev]``.
+    They are the left singular vectors of the previous basis's residual
+    against the current one, ``v_prev - v_cur v_cur^T v_prev``, in
+    descending order of singular value, so the most novel come first; those
+    whose singular value is at most ``drop_tol`` carry no usable warm-start
+    information and are dropped.  Together with ``v_cur`` they span what an
+    unpivoted QR of ``[v_cur, v_prev]`` spans, less the dropped columns,
+    which take no direction from the kept ones.
     """
     u, s, _ = np.linalg.svd(v_prev - v_cur @ (v_cur.T @ v_prev), full_matrices=False)
-    return np.hstack([v_cur, u[:, s > drop_tol]])
+    return u[:, s > drop_tol]
 
 
 def _extrapolate(cur: ThinFactors, prev: ThinFactors, theta: float):
@@ -378,10 +374,9 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     from them.  The gradient at the extrapolated point is taken from its
     entries on Omega, (1 + theta) eta_t - theta eta_{t-1}, computed from the
     cached entries of the last two iterates.  Z is a dense array when
-    d_u D <= :data:`DENSE_Z_MAX_ENTRIES` or nnz > :data:`DENSE_Z_MIN_FILL`
-    d_u D, and the sparse-plus-low-rank operator otherwise (``z_form``);
-    that choice sets only Z's storage, and both give the same iterates up
-    to rounding.
+    d_u D <= :data:`DENSE_Z_MAX_ENTRIES`, whatever the fill, and the
+    sparse-plus-low-rank operator otherwise (``z_form``); that choice sets
+    only Z's storage, and both give the same iterates up to rounding.
 
     ``iter_callback(t, lam_t, rank, objective)`` is invoked once per
     iteration when given.
@@ -389,8 +384,7 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     cfg, start, lam, term, value, grad = _begin(obs, cfg)
     big_l = cfg.lipschitz
     layout = obs.layout
-    entries = layout.d_u * layout.D
-    dense_z = entries <= DENSE_Z_MAX_ENTRIES or obs.n > DENSE_Z_MIN_FILL * entries
+    dense_z = layout.d_u * layout.D <= DENSE_Z_MAX_ENTRIES
 
     u0, sigma1, v0 = rank1_svd(obs.to_csr())
     lam0 = big_l * sigma1
@@ -420,9 +414,8 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
         else:
             z = SparsePlusLowRank(a, b, obs.to_csr(-term.grad_on_omega(eta_x) / big_l))
         r = carried = factors.rank
-        basis = _warm_basis(factors.v, factors_prev.v, cfg.basis_drop)
-        # the tail in Ritz order: _warm_basis's SVD would rotate it by rounding
-        basis = np.hstack([basis[:, :r], tail, basis[:, r:]])
+        basis = np.hstack([factors.v, tail,
+                           _warm_basis(factors.v, factors_prev.v, cfg.basis_drop)])
         if t == 1 and cfg.init_rank is not None:
             carried = min(cfg.init_rank, width_cap)
             basis = _refill(basis, carried, np.random.default_rng((8081, t)))

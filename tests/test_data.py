@@ -34,10 +34,10 @@ def test_column_indexing_bijection(d_vs):
     layout = BlockLayout(5, d_vs)
     seen = set()
     for v, dv in enumerate(d_vs):
-        for j in range(dv):
-            col = layout.global_col(v, j)
-            assert layout.split_col(col) == (v, j)
-            seen.add(col)
+        cols = layout.block_cols(v)
+        assert (cols.start, cols.stop) == (layout.col_offsets[v], layout.col_offsets[v] + dv)
+        assert seen.isdisjoint(range(cols.start, cols.stop))
+        seen.update(range(cols.start, cols.stop))
     assert seen == set(range(layout.D))
 
 

@@ -32,7 +32,7 @@ def naive_nll(obs, w):
     # per-entry loop oracle
     total = 0.0
     for v, i, j, y in zip(obs.v, obs.i, obs.j, obs.y):
-        eta = w[i, obs.layout.global_col(v, j)]
+        eta = w[i, obs.layout.col_offsets[v] + j]
         total += y * eta - g_value(obs.families[v], eta)
     return -total / (obs.layout.d_u * obs.layout.D)
 
@@ -162,7 +162,7 @@ def test_empirical_risk_cases():
     w = rng.normal(size=(10, layout.D))
     total = 0.0
     for v, i, j, y in zip(obs.v, obs.i, obs.j, obs.y):
-        total += _scalar_loss(losses[v], y, w[i, layout.global_col(v, j)])
+        total += _scalar_loss(losses[v], y, w[i, layout.col_offsets[v] + j])
     assert empirical_risk(obs, w, losses) == pytest.approx(
         total / (10 * layout.D), rel=1e-12)
 

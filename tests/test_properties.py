@@ -79,9 +79,9 @@ def observation_sets(draw, layout_strategy=layouts, tagged=False):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mask = rng.random((layout.d_u, layout.D)) < draw(st.floats(0.0, 1.0))
     ii, cc = np.nonzero(mask)
-    vj = [layout.split_col(int(c)) for c in cc]
-    vv = np.array([v for v, _ in vj], dtype=np.int64)
-    jj = np.array([j for _, j in vj], dtype=np.int64)
+    offsets = np.array(layout.col_offsets)
+    vv = np.searchsorted(offsets, cc, side="right") - 1
+    jj = cc - offsets[vv]
     y = rng.normal(size=ii.size)
     perm = rng.permutation(ii.size)
     fams = tuple(draw(families) for _ in layout.d_vs) if tagged else None
@@ -92,7 +92,7 @@ def assert_invariants(obs):
     keys = list(zip(obs.v.tolist(), obs.i.tolist(), obs.j.tolist()))
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
-    assert obs.cols.tolist() == [obs.layout.global_col(v, j) for v, _, j in keys]
+    assert obs.cols.tolist() == [obs.layout.col_offsets[v] + j for v, _, j in keys]
     assert obs.cols is obs.cols and not obs.cols.flags.writeable
     stop = 0
     for v in range(obs.layout.V):
@@ -317,7 +317,7 @@ def assert_sum_close(got, terms, n):
 def entries(obs):
     """Per-entry loop over (v, row, global column, y)."""
     for v, i, j, y in zip(obs.v, obs.i, obs.j, obs.y):
-        yield v, i, obs.layout.global_col(v, j), y
+        yield v, i, obs.layout.col_offsets[v] + j, y
 
 
 @SETTINGS
@@ -725,7 +725,7 @@ def test_warm_basis_spans_what_the_explicit_projection_spans(d, data, seed):
         v_prev = inside.copy()
         v_prev[:, :moving] = np.sqrt(1.0 - r**2) * inside[:, :moving] + r * basis[:, k:k + moving]
         width = k + moving
-    got = _warm_basis(v_cur, v_prev, drop_tol)
+    got = np.hstack([v_cur, _warm_basis(v_cur, v_prev, drop_tol)])
     ref = explicit_warm_basis(v_cur, v_prev, drop_tol)
     assert got.shape == ref.shape == (d, width)
     assert np.allclose(got.T @ got, np.eye(got.shape[1]), atol=1e-10)
@@ -752,7 +752,7 @@ def test_warm_basis_keeps_moving_columns_behind_static_ones(d, data, seed):
     v_prev = inside.copy()
     v_prev[:, static:] = (np.sqrt(1.0 - r**2) * inside[:, static:]
                           + r * basis[:, k:k + moving])
-    got = _warm_basis(v_cur, v_prev, drop_tol)
+    got = np.hstack([v_cur, _warm_basis(v_cur, v_prev, drop_tol)])
     span = basis[:, :k + moving]
     assert got.shape == (d, k + moving)
     assert np.array_equal(got[:, :k], v_cur)

@@ -379,16 +379,19 @@ def test_plais_mixed_family_likelihood():
 
 
 def _sparse_fit_setup(mode):
-    if mode == "curved":  # sup G'' = 4, so the step constant is not 1 / (d_u D)
+    curved = mode in ("curved", "curved_high_fill")
+    if curved:  # sup G'' = 4, so the step constant is not 1 / (d_u D)
         syn = SyntheticConfig(60, (30, 30), (3, 2), ("gaussian",) * 2, seed=21)
         fams = (ExpFamilyModel("gaussian", 4.0), ExpFamilyModel("binomial", 10))
-        obs = observe_from_model(generate_synthetic(syn), fams,
-                                 SamplingScheme.uniform(0.15), 22)
+        p = 0.9 if mode == "curved_high_fill" else 0.15
+        obs = observe_from_model(generate_synthetic(syn), fams, SamplingScheme.uniform(p), 22)
     else:
         obs, _ = gaussian_instance(d_u=60, d_vs=(30, 30), ranks=(3, 2), seed=21, p=0.15)
-    if mode in ("likelihood", "curved"):
+    if curved or mode == "likelihood":
         lip = tight_lipschitz(obs)
-        return obs, SolverConfig(lam=data_scale_lambda(obs, lip), lipschitz=lip,
+        # at 90 % observed the default weight zeroes the fit; this one ends at rank 19
+        rel = 0.02 if mode == "curved_high_fill" else 0.05
+        return obs, SolverConfig(lam=data_scale_lambda(obs, lip, rel), lipschitz=lip,
                                  init_rank=10)
     losses = (LipschitzLoss.quantile(0.5),) * 2
     lip = 1.0 / (obs.layout.d_u * obs.layout.D)  # smoothing 1 -> curvature 1
@@ -397,16 +400,18 @@ def _sparse_fit_setup(mode):
 
 
 def force_z_form(monkeypatch, form):
-    """Set plais_impute's two Z-form bounds so that every instance takes ``form``."""
-    max_entries, min_fill = {"dense": (math.inf, 0.0), "structured": (0, 1.0)}[form]
-    monkeypatch.setattr(solvers, "DENSE_Z_MAX_ENTRIES", max_entries)
-    monkeypatch.setattr(solvers, "DENSE_Z_MIN_FILL", min_fill)
+    """Set plais_impute's one Z-form bound, ``DENSE_Z_MAX_ENTRIES``, so that
+    every instance takes ``form``."""
+    monkeypatch.setattr(solvers, "DENSE_Z_MAX_ENTRIES",
+                        {"dense": math.inf, "structured": 0}[form])
 
 
-@pytest.mark.parametrize("mode", ["likelihood", "general_loss", "curved"])
+# structured Z runs at every fill above the size bound, so one curved
+# instance is 90 % observed
+@pytest.mark.parametrize("mode", ["likelihood", "general_loss", "curved", "curved_high_fill"])
 def test_plais_dense_and_structured_z_give_the_same_fit(monkeypatch, mode):
     obs, cfg = _sparse_fit_setup(mode)
-    if mode == "curved":
+    if mode.startswith("curved"):
         assert cfg.lipschitz == pytest.approx(4.0 / (obs.layout.d_u * obs.layout.D))
     fits = []
     for form in ("dense", "structured"):
@@ -415,6 +420,7 @@ def test_plais_dense_and_structured_z_give_the_same_fit(monkeypatch, mode):
         assert fits[-1].z_form == form
     dense, structured = fits
     assert dense.terminated_by == structured.terminated_by == "tolerance"
+    assert dense.factors.rank > 0
     assert dense.rank_history == structured.rank_history
     assert dense.restarts == structured.restarts
     assert np.allclose(dense.objective_history, structured.objective_history,
@@ -435,16 +441,16 @@ def test_plais_structured_z_builds_no_dense_matrix(monkeypatch):
     assert fit.terminated_by == "tolerance" and fit.factors.rank > 0
 
 
-# 1024 columns: 512 rows make exactly DENSE_Z_MAX_ENTRIES = 2**19 entries, and
-# 513 * 512 observations are exactly DENSE_Z_MIN_FILL = 1/2 of 513 rows
+# 1024 columns: 512 rows make exactly DENSE_Z_MAX_ENTRIES = 2**19 entries;
+# the fill does not matter
 @pytest.mark.parametrize("d_u, nnz, form", [
     (512, 2**16, "dense"),  # at the size bound, an eighth observed
     (513, 2**16, "structured"),  # one row past it
-    (513, 513 * 512, "structured"),  # half observed
-    (513, 513 * 512 + 1, "dense"),  # one entry more than half
+    (512, 512 * 1024, "dense"),  # at the size bound, fully observed
+    (513, 513 * 1024, "structured"),  # one row past it, fully observed
 ])
-def test_plais_picks_the_z_form_by_size_and_fill(d_u, nnz, form):
-    assert solvers.DENSE_Z_MAX_ENTRIES == 512 * 1024 and solvers.DENSE_Z_MIN_FILL == 0.5
+def test_plais_picks_the_z_form_by_size(d_u, nnz, form):
+    assert solvers.DENSE_Z_MAX_ENTRIES == 512 * 1024
     flat = np.arange(nnz)
     y = np.random.default_rng(3).standard_normal(nnz)
     obs = ObservationSet(BlockLayout(d_u, (1024,)), np.zeros(nnz, dtype=int),
