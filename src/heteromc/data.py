@@ -224,13 +224,20 @@ class ObservationSet:
             object.__setattr__(self, "_csr", cached)
         return cached
 
-    def to_csr(self, values=None) -> sparse.csr_matrix:
+    def to_csr(self, values=None, out: sparse.csr_matrix | None = None) -> sparse.csr_matrix:
         """Sparse d_u x D matrix holding ``values`` (default ``y``) on Omega.
 
         ``values`` has one entry per observation, in observation order.
+        With ``out``, a matrix an earlier call returned for this set, the
+        values are written into its ``data`` in place and ``out`` is
+        returned, so no new matrix or index array is built.
         """
         order, indices, indptr = self.csr_index()
         values = self.y if values is None else np.asarray(values, dtype=float)
+        if out is not None:
+            # order is a permutation, so "clip" only spares take's buffer copy
+            np.take(values, order, out=out.data, mode="clip")
+            return out
         return sparse.csr_matrix((values[order], indices, indptr),
                                  shape=(self.layout.d_u, self.layout.D))
 

@@ -28,9 +28,11 @@ from .lowrank import ThinFactors, _values
 LOSS_KINDS = ("hinge", "logistic", "quantile")
 
 # Entries of one row tile of a factor product (2 MB of float64).  Gathering
-# a rank-35 product on 450k entries of a 3000 x 3000 matrix took 24 ms with
-# tiles of 2^18 entries (27-37 ms for 2^15-2^21), against 125 ms for a
-# fancy-indexed einsum (2 CPUs, 1 BLAS thread).
+# a rank-35 product on 450k entries of a 3000 x 3000 matrix takes 28 ms with
+# tiles of 2^17-2^20 entries (32-37 ms at 2^15, 2^16, 2^21), against 68 ms
+# for row dots over Omega.  At rank 1 a tile's product, of inner dimension
+# 1, costs 3.8 ns per entry (0.7 at rank 2), so the tiles take 32 ms and
+# u_i sigma v_j read on Omega 3.5 ms (medians of 15; 2 CPUs, 1 BLAS thread).
 _TILE_ENTRIES = 2**18
 
 
@@ -75,7 +77,9 @@ class DataTerm:
         """Entries of ``w`` on Omega, in observation order.
 
         ``w`` is a d_u x D matrix, a :class:`~heteromc.lowrank.ThinFactors`
-        or already the length-nnz vector of those entries.
+        or already the length-nnz vector of those entries.  Rank-1 factors
+        are read as u_i sigma v_j in O(nnz), higher ranks from row tiles of
+        the product (see :data:`_TILE_ENTRIES`).
         """
         if isinstance(w, ThinFactors):
             return self._gather_factors(w)
@@ -87,10 +91,14 @@ class DataTerm:
         return w[self.obs.i, self.obs.cols]
 
     def _gather_factors(self, f: ThinFactors) -> np.ndarray:
-        # Row tile by row tile: form the tile of (u sigma) v^T, then read the
-        # observed entries from it, in CSR order; O(d_u D r) flops, O(tile) memory.
+        # Rank 1: u_i sigma v_j with the tile product's two roundings, so the
+        # same bits.  Higher ranks, row tile by row tile: form the tile of
+        # (u sigma) v^T, then read the observed entries from it, in CSR
+        # order; O(d_u D r) flops, O(tile) memory.
         if f.rank == 0:
             return np.zeros(self.obs.n)
+        if f.rank == 1:
+            return np.take(f.u[:, 0] * f.sigma[0], self.obs.i) * np.take(f.v[:, 0], self.obs.cols)
         if self._tiles is None:
             order, cols, indptr = self.obs.csr_index()
             d_u, big_d = self.obs.layout.d_u, self.obs.layout.D

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import Literal
 
 import numpy as np
+from scipy import linalg
 
 from .data import ObservationSet, estimate_mu
 from .families import strong_convexity_bounds
@@ -333,9 +334,15 @@ def _warm_basis(v_cur: np.ndarray, v_prev: np.ndarray,
     whose singular value is at most ``drop_tol`` carry no usable warm-start
     information and are dropped.  Together with ``v_cur`` they span what an
     unpivoted QR of ``[v_cur, v_prev]`` spans, less the dropped columns,
-    which take no direction from the kept ones.
+    which take no direction from the kept ones.  When LAPACK's gesdd fails
+    to converge, as it can on a finite residual, the slower gesvd driver
+    factors it instead.
     """
-    u, s, _ = np.linalg.svd(v_prev - v_cur @ (v_cur.T @ v_prev), full_matrices=False)
+    resid = v_prev - v_cur @ (v_cur.T @ v_prev)
+    try:
+        u, s, _ = np.linalg.svd(resid, full_matrices=False)
+    except np.linalg.LinAlgError:
+        u, s, _ = linalg.svd(resid, full_matrices=False, lapack_driver="gesvd")
     return u[:, s > drop_tol]
 
 
@@ -386,7 +393,8 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     layout = obs.layout
     dense_z = layout.d_u * layout.D <= DENSE_Z_MAX_ENTRIES
 
-    u0, sigma1, v0 = rank1_svd(obs.to_csr())
+    s = obs.to_csr()  # built once; a structured Z's sparse part is rewritten in it
+    u0, sigma1, v0 = rank1_svd(s)
     lam0 = big_l * sigma1
     width_cap = min(layout.d_u, layout.D)
 
@@ -412,7 +420,7 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
             z /= -big_l
             z += a @ b.T
         else:
-            z = SparsePlusLowRank(a, b, obs.to_csr(-term.grad_on_omega(eta_x) / big_l))
+            z = SparsePlusLowRank(a, b, obs.to_csr(-term.grad_on_omega(eta_x) / big_l, out=s))
         r = carried = factors.rank
         basis = np.hstack([factors.v, tail,
                            _warm_basis(factors.v, factors_prev.v, cfg.basis_drop)])

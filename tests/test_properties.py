@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 from heteromc import (
@@ -640,6 +640,44 @@ def test_factor_gather_matches_dense_entries(obs, r, tile, seed):
         eta = DataTerm(obs, [(None, None)] * obs.layout.V).gather(f)
     assert np.allclose(eta, f.to_matrix()[obs.i, obs.cols], rtol=1e-12, atol=1e-12)
     assert np.array_equal(obs.to_csr().toarray(), obs.dense_y())
+
+
+def fully_observed(d_u, d_vs, empty=None):
+    """Every entry of a ``d_u`` x ``d_vs`` layout observed, except source ``empty``'s."""
+    layout = BlockLayout(d_u, d_vs)
+    keep = [(v, i, j) for v in range(layout.V) if v != empty
+            for i in range(d_u) for j in range(d_vs[v])]
+    vv, ii, jj = map(list, zip(*keep))
+    return ObservationSet(layout, vv, ii, jj, np.ones(len(keep)))
+
+
+@SETTINGS
+@given(observation_sets(), seeds, st.floats(-6.0, 6.0))
+@example(fully_observed(1, (7, 3)), 0, 0.0)  # d_u = 1
+@example(fully_observed(9, (1,)), 1, 0.0)  # V = D = 1
+@example(fully_observed(12, (5, 4, 6), empty=1), 2, 3.0)  # an empty source
+def test_rank1_gather_is_the_dense_products_entries_bit_for_bit(obs, seed, log_scale):
+    # the rank-1 gather reads u_i sigma v_j off Omega with the two roundings
+    # of the dense product, which stays here as the reference
+    rng = np.random.default_rng(seed)
+    sigma = [10.0**log_scale * rng.uniform(0.1, 2.0)]
+    f = ThinFactors(rng.normal(size=(obs.layout.d_u, 1)), sigma,
+                    rng.normal(size=(obs.layout.D, 1)))
+    eta = DataTerm(obs, [(None, None)] * obs.layout.V).gather(f)
+    assert same_bits(eta, f.to_matrix()[obs.i, obs.cols])
+
+
+@SETTINGS
+@given(observation_sets(), seeds)
+def test_csr_written_in_place_equals_a_new_one(obs, seed):
+    values = np.random.default_rng(seed).normal(size=obs.n)
+    s = obs.to_csr()
+    indices, indptr = s.indices.copy(), s.indptr.copy()
+    assert obs.to_csr(values, out=s) is s
+    fresh = obs.to_csr(values)
+    assert same_bits(s.data, fresh.data)
+    assert same_bits(s.indices, indices) and same_bits(s.indptr, indptr)
+    assert same_bits(s.indices, fresh.indices) and same_bits(s.indptr, fresh.indptr)
 
 
 @SETTINGS

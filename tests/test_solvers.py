@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from heteromc import (
     CollectiveMatrix,
@@ -25,6 +30,7 @@ from heteromc import (
     theory_bound,
     tight_lipschitz,
 )
+import heteromc
 from heteromc import solvers
 from heteromc.data import BlockLayout, ObservationSet, estimate_mu
 from heteromc.lowrank import ThinFactors
@@ -439,6 +445,67 @@ def test_plais_structured_z_builds_no_dense_matrix(monkeypatch):
     fit = plais_impute(obs, cfg)
     assert fit.z_form == "structured"
     assert fit.terminated_by == "tolerance" and fit.factors.rank > 0
+
+
+def test_plais_structured_z_builds_omegas_csr_matrix_once(monkeypatch):
+    obs, cfg = _sparse_fit_setup("likelihood")
+    built = []
+
+    class Counting(sparse.csr_matrix):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    force_z_form(monkeypatch, "structured")
+    monkeypatch.setattr(sparse, "csr_matrix", Counting)
+    fit = plais_impute(obs, cfg)
+    assert fit.z_form == "structured" and len(fit.objective_history) > 2
+    assert len(built) == 1
+
+
+def test_warm_basis_falls_back_to_gesvd_when_gesdd_fails(monkeypatch):
+    rng = np.random.default_rng(5)
+    v_cur = np.linalg.qr(rng.normal(size=(40, 6)))[0]
+    v_prev = np.linalg.qr(rng.normal(size=(40, 6)))[0]
+    expected = solvers._warm_basis(v_cur, v_prev)
+
+    def gesdd_fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", gesdd_fails)
+    got = solvers._warm_basis(v_cur, v_prev)
+    assert got.shape == expected.shape == (40, 6)
+    assert np.allclose(got @ got.T, expected @ expected.T, atol=1e-12)
+
+
+GESDD_FAILURE = """
+from dataclasses import replace
+from heteromc import ExperimentSpec, LipschitzLoss, SolverConfig, bench, plais_impute
+spec = ExperimentSpec(d_u=300, d_vs=(100, 100, 100), ranks=(5, 5, 5),
+                      factor_laws=("gaussian", "poisson", "bernoulli"), p_grid=(0.2,),
+                      seed=1, rel_lambda=0.01, methods=("collective",),
+                      solver=SolverConfig(mode="general_loss", smoothing=0.01,
+                                          losses=(LipschitzLoss.quantile(0.5),) * 3))
+obs = bench._instance(spec, 0.2, 0, 0)[1]
+fit = plais_impute(obs, replace(bench._fit_config(spec, obs), max_iters=80))
+print(len(fit.objective_history) - 1, fit.factors.rank)
+"""
+
+
+def test_plais_fits_past_the_residual_that_gesdd_fails_on():
+    # At one BLAS thread LAPACK's gesdd raised "SVD did not converge" on this
+    # instance's warm-basis residual at t = 77, at rank 245 of 300, with
+    # nothing non-finite.  The thread count changes the rounding, so the fit
+    # runs in a child process with one BLAS thread.
+    src = str(Path(heteromc.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", GESDD_FAILURE], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    iterations, rank = map(int, out.stdout.split())
+    assert iterations == 80 and rank > 0
 
 
 # 1024 columns: 512 rows make exactly DENSE_Z_MAX_ENTRIES = 2**19 entries;
