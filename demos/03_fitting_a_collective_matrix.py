@@ -34,14 +34,12 @@ obs = mask_sample(truth, SamplingScheme.uniform(0.5), 22, families)
 # also take as their step constant when none is given
 lip = tight_lipschitz(obs)
 lam = 0.01 * lip * rank1_svd(obs.dense_y())[1]
-solver_cfg = SolverConfig(lam=lam, init_rank=15, basis_drop=1e-3, epsilon=1e-9,
-                          max_iters=300)
+solver_cfg = SolverConfig(lam=lam, init_rank=15, epsilon=1e-9, max_iters=300)
 
 fit = plais_impute(obs, solver_cfg)
 print(f"stopped by {fit.terminated_by} after {len(fit.rank_history) - 1} "
       f"iterations ({fit.wall_time * 1e3:.0f} ms)")
-print("rank trace:      ", fit.rank_history)
-print("warm-width trace:", fit.input_rank_history)
+print("rank trace:", fit.rank_history)
 print("restarts at:", fit.restarts)
 print("objective: first", f"{fit.objective_history[0]:.6f}",
       "last", f"{fit.objective_history[-1]:.6f}")

@@ -22,7 +22,7 @@ spec = ExperimentSpec(
     d_u=150, d_vs=(50, 50, 50), ranks=(3, 3, 3),
     factor_laws=("gaussian", "poisson", "bernoulli"),
     p_grid=(0.2, 0.4, 0.6, 0.8), trials=3, seed=31,
-    solver=SolverConfig(init_rank=15, basis_drop=1e-3, max_iters=300),
+    solver=SolverConfig(init_rank=15, max_iters=300),
     methods=("collective",), rel_lambda=0.01, experiment_id="sweep",
 )
 records = run_experiment(spec, jobs=2)
@@ -36,8 +36,7 @@ rate_spec = ExperimentSpec(
     d_u=150, d_vs=(50, 50, 50), ranks=(3, 3, 3),
     factor_laws=("gaussian",) * 3, gamma=30.0,
     p_grid=(0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), trials=2, seed=32,
-    solver=SolverConfig(lam="auto", constant_c=1.0, init_rank=15,
-                        basis_drop=1e-3, max_iters=300),
+    solver=SolverConfig(lam="auto", constant_c=1.0, init_rank=15, max_iters=300),
     methods=("collective",), shared_factors=True, noise="model",
     fit_families=fams, experiment_id="rate",
 )

@@ -19,7 +19,7 @@ spec = ExperimentSpec(
     d_u=150, d_vs=(50, 50, 50), ranks=(3, 3, 3),
     factor_laws=("gaussian", "poisson", "bernoulli"),
     p_grid=(0.3,), trials=10, seed=41,
-    solver=SolverConfig(init_rank=15, basis_drop=1e-3, max_iters=300),
+    solver=SolverConfig(init_rank=15, max_iters=300),
     shared_factors=True, rel_lambda=0.01, experiment_id="cold",
 )
 records = run_cold_start(spec, target_v=0, jobs=2)

@@ -12,13 +12,16 @@ N the file's 1-based line number; the CLI exits 3 on it.
 The layout sidecar is JSON with the block sizes and per-source family tags;
 a key it does not know or a value of the wrong type is a DataFormatError.
 Arrays persist as a JSON shape header next to raw little-endian float64
-bytes; factor triples reuse the same container.
+bytes, and the reader takes only that dtype, C order, nonnegative integer
+shapes and a blob of exactly their length; factor triples reuse the same
+container.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -135,17 +138,22 @@ def load_arrays(prefix) -> dict[str, np.ndarray]:
     try:
         header = json.loads(prefix.with_suffix(".json").read_text(encoding="utf-8"))
         blob = prefix.with_suffix(".bin").read_bytes()
-        out = {}
-        offset = 0
+        if (header["dtype"], header["order"]) != ("<f8", "C"):
+            raise ValueError(f"dtype {header['dtype']!r} and order {header['order']!r}, "
+                             "expected '<f8' and 'C'")
+        out, offset = {}, 0
         for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(blob, dtype=header["dtype"], count=count,
-                                offset=offset).reshape(shape)
-            out[entry["name"]] = arr.copy()
-            offset += count * 8
+            shape = entry["shape"]
+            # type(n) is int: JSON true reads as a Python bool, an int subclass
+            if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+                raise ValueError(f"{entry['name']!r}: shape {shape!r} is not nonnegative integers")
+            count = math.prod(shape)
+            out[entry["name"]] = np.frombuffer(blob, "<f8", count, offset).reshape(shape).copy()
+            offset += 8 * count
+        if offset != len(blob):
+            raise ValueError(f"{len(blob) - offset} bytes past the last array")
         return out
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{prefix}: invalid array container ({exc})") from exc
 
 

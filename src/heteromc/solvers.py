@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Literal
 
 import numpy as np
-from scipy import linalg
 
 from .data import ObservationSet, estimate_mu
 from .families import strong_convexity_bounds
@@ -89,10 +88,13 @@ class SolverConfig:
     ``lam`` may be the string ``"auto"``, in which case the regularization
     weight comes from :func:`lambda_heuristic` (likelihood mode) or
     :func:`lambda_general_loss`; ``losses`` are read in general_loss mode only.
-    ``nu`` is the continuation decay, and ``init_rank`` pads the first warm
-    start of the inexact solver (five times the expected rank reproduces the
+    ``nu`` is the continuation decay, and ``init_rank`` sets the width of the
+    first warm start of the inexact solver to ``init_rank`` +
+    :data:`WARM_SLACK` columns (five times the expected rank reproduces the
     learning-rank behaviour).  Steps have length 1/``lipschitz``; unset, it
     is the configured data term's gradient Lipschitz constant, :func:`tight_lipschitz`.
+    ``basis_drop`` has no effect; it is still read and checked only so that
+    configs which name it, perfbench's among them, keep loading.
     """
 
     lam: float | Literal["auto"] = "auto"
@@ -110,18 +112,22 @@ class SolverConfig:
     JSON_KEYS = {"lam": "lambda"}
 
     def __post_init__(self):
-        if not 0 < self.nu < 1:
+        # bool is an Integral, so True would pass every check below as 1
+        if isinstance(self.nu, bool) or not 0 < self.nu < 1:
             raise ValueError("nu must lie in (0, 1)")
         for name in ("epsilon", "lipschitz", "basis_drop", "smoothing", "constant_c"):
             value = getattr(self, name)
-            if not (value is None and name == "lipschitz" or 0 < value < math.inf):
+            if isinstance(value, bool) or not (
+                    value is None and name == "lipschitz" or 0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite")
         for name in ("max_iters", "init_rank"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Integral) and value >= 1
                     or value is None and name == "init_rank"):
                 raise ValueError(f"{name} must be an integer >= 1")
-        if self.lam != "auto" and not 0 <= float(self.lam) < math.inf:
+        if self.lam != "auto" and (isinstance(self.lam, bool)
+                                   or not 0 <= float(self.lam) < math.inf):
             raise ValueError("lambda must be nonnegative and finite")
         if self.mode not in ("likelihood", "general_loss"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -138,12 +144,13 @@ class FitResult:
     """Full trace of one solve; ``factors`` is the last iterate, as the loop left it.
 
     ``rank_history`` records the surviving rank of each accepted iterate,
-    ``input_rank_history`` the columns of each warm start of the inexact
-    solver that come from the last two iterates (``init_rank`` on the first
-    iteration; carried Ritz vectors and random padding excluded; at most the
-    iterate's rank plus :data:`WARM_SLACK` afterwards), and ``restarts`` the
-    iterations where the objective increased and the momentum counter was
-    reset.  ``objective_history`` starts with the
+    ``input_rank_history`` the rank each warm start of the inexact solver
+    carries, whose width is that plus :data:`WARM_SLACK`, capped at
+    min(d_u, D): ``init_rank``, at most min(d_u, D), on the first iteration
+    when it is set, and the iterate's rank otherwise, so
+    ``input_rank_history[1:] == rank_history[1:-1]``.  ``restarts`` lists
+    the iterations where the objective increased and the momentum counter
+    was reset.  ``objective_history`` starts with the
     objective at the starting point in both drivers; ``rank_history`` starts
     with its rank only in :func:`plais_impute`.  ``z_form`` is how the SVT
     input was held: ``"dense"``, a d_u x D array, or ``"structured"``, the
@@ -324,28 +331,6 @@ def apg_solve(obs: ObservationSet, cfg: SolverConfig | None = None) -> FitResult
                    objective_history=objective_history, restarts=[])
 
 
-def _warm_basis(v_cur: np.ndarray, v_prev: np.ndarray,
-                drop_tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal directions that the previous right basis adds to the current one.
-
-    They are the left singular vectors of the previous basis's residual
-    against the current one, ``v_prev - v_cur v_cur^T v_prev``, in
-    descending order of singular value, so the most novel come first; those
-    whose singular value is at most ``drop_tol`` carry no usable warm-start
-    information and are dropped.  Together with ``v_cur`` they span what an
-    unpivoted QR of ``[v_cur, v_prev]`` spans, less the dropped columns,
-    which take no direction from the kept ones.  When LAPACK's gesdd fails
-    to converge, as it can on a finite residual, the slower gesvd driver
-    factors it instead.
-    """
-    resid = v_prev - v_cur @ (v_cur.T @ v_prev)
-    try:
-        u, s, _ = np.linalg.svd(resid, full_matrices=False)
-    except np.linalg.LinAlgError:
-        u, s, _ = linalg.svd(resid, full_matrices=False, lapack_driver="gesvd")
-    return u[:, s > drop_tol]
-
-
 def _extrapolate(cur: ThinFactors, prev: ThinFactors, theta: float):
     """Factors ``(a, b)`` with ``a @ b.T == (1 + theta) cur - theta prev``."""
     a = cur.u * ((1.0 + theta) * cur.sigma)
@@ -363,15 +348,14 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
     lam0 = lipschitz * sigma_1(Y) down to the target lam, so the SVT
     threshold sweeps from sigma_1(Y) to lam/lipschitz.  Each approximate SVT
     takes one power step, so the subspace iteration runs on across
-    iterations (AIS-Impute, Yao and Kwok 2015), from a warm start of
-    rank(W_t) + :data:`WARM_SLACK` columns: the right basis of W_t, the last
-    step's right Ritz vectors below the threshold in descending order, the
-    most novel directions of W_{t-1}'s (see :func:`_warm_basis`), random ones.
-    The first iteration starts from ``init_rank`` + :data:`WARM_SLACK`
-    columns when ``init_rank`` is set.  So the rank can grow by at most
-    :data:`WARM_SLACK` per iteration, and the warm start stays near the
-    rank while continuation lowers the threshold; the fixed point, and so
-    the minimizer reached, does not depend on the warm start.  The
+    iterations (AIS-Impute, Yao and Kwok 2015).  Every warm start follows one
+    rule: min(r + :data:`WARM_SLACK`, d_u, D) columns, where r is rank(W_t),
+    or ``init_rank`` on the first iteration when it is set, filled with the
+    right basis of W_t, then the last step's right Ritz vectors below the
+    threshold in descending order, then random columns.  So the rank can
+    grow by at most :data:`WARM_SLACK` per iteration, and the warm start
+    stays near the rank while continuation lowers the threshold; the fixed
+    point, and so the minimizer reached, does not depend on the warm start.  The
     extrapolation weight is theta = (c - 1) / (c + 2), 0 at c = 1; the
     counter c resets to 1 whenever the objective at the target weight
     increases.  Iterations stop when that objective's change falls within
@@ -421,16 +405,13 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
             z += a @ b.T
         else:
             z = SparsePlusLowRank(a, b, obs.to_csr(-term.grad_on_omega(eta_x) / big_l, out=s))
-        r = carried = factors.rank
-        basis = np.hstack([factors.v, tail,
-                           _warm_basis(factors.v, factors_prev.v, cfg.basis_drop)])
+        carried = factors.rank
         if t == 1 and cfg.init_rank is not None:
             carried = min(cfg.init_rank, width_cap)
-            basis = _refill(basis, carried, np.random.default_rng((8081, t)))
         width = min(carried + WARM_SLACK, width_cap)
-        basis = basis[:, :width]
-        input_rank_history.append(basis.shape[1] - min(tail.shape[1], width - r))
-        padded = _refill(basis, width, np.random.default_rng((8082, t)))
+        input_rank_history.append(carried)
+        padded = _refill(np.hstack([factors.v, tail])[:, :width], width,
+                         np.random.default_rng((8082, t)))
         new_factors, _, tail = approx_svt(z, padded, lam_t / big_l, 0.0, max_iters=1)
         eta_next = term.gather(new_factors)
         f_next = _check_finite(value(eta_next) + lam * new_factors.nuclear)

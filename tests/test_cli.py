@@ -283,6 +283,35 @@ def test_malformed_line_deep_in_a_large_file_is_named(tmp_path):
         hio.load_observations(bad, BlockLayout(90, (100,)))
 
 
+# edits to the header of a 2 x 3 array "u" and a 2-vector "s" (64 bytes), the
+# shapes on "s" so that "u" still reads, and the blob's new length
+@pytest.mark.parametrize("key, value, blob_len", [
+    ("dtype", "<f4", 64),
+    ("dtype", "<f3", 64),
+    ("order", "F", 64),
+    ("shape", [-1], 64),
+    ("shape", [1.5], 64),
+    ("shape", [True], 64),
+    (None, None, 72),
+    (None, None, 56),
+], ids=["dtype-f4", "dtype-unknown", "order-F", "shape-negative", "shape-float",
+        "shape-bool", "trailing-bytes", "short-blob"])
+def test_array_container_must_match_its_header(tmp_path, key, value, blob_len):
+    prefix = tmp_path / "arrays"
+    hio.save_arrays(prefix, {"u": np.arange(6.0).reshape(2, 3), "s": np.ones(2)})
+    assert hio.load_arrays(prefix)["u"].shape == (2, 3)
+    header = json.loads(prefix.with_suffix(".json").read_text())
+    if key == "shape":
+        header["arrays"][1]["shape"] = value
+    elif key is not None:
+        header[key] = value
+    prefix.with_suffix(".json").write_text(json.dumps(header))
+    blob = prefix.with_suffix(".bin").read_bytes()
+    prefix.with_suffix(".bin").write_bytes((blob + bytes(8))[:blob_len])
+    with pytest.raises(hio.DataFormatError, match="invalid array container"):
+        hio.load_arrays(prefix)
+
+
 def test_crlf_file_loads_like_its_lf_twin(tmp_path):
     text = "v,i,j,y\n0,0,1,1.5\n\n0,2,0,-2.5e-3\n0,1,1,nan\n"
     lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"

@@ -41,9 +41,9 @@ from heteromc import io as hio
 from heteromc import objectives
 from heteromc.data import FACTOR_LAWS, _draw_factor
 from heteromc.jsonconf import from_json, to_json
-from heteromc.lowrank import SparsePlusLowRank, qr_orthonormalize
+from heteromc.lowrank import SparsePlusLowRank
 from heteromc.objectives import DataTerm, solver_loss_terms
-from heteromc.solvers import _data_terms, _warm_basis
+from heteromc.solvers import _data_terms
 
 SETTINGS = settings(max_examples=60, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -721,78 +721,3 @@ def test_svt_is_the_nuclear_norm_prox(m, n, r, density, data, seed):
         out, converged, _ = approx_svt(form, r0, tau, delta=1e-8)
         assert converged and out.rank == x.rank
         assert np.allclose(out.to_matrix(), x.to_matrix(), atol=1e-8)
-
-
-def explicit_warm_basis(v_cur, v_prev, drop_tol):
-    """Reference: project the previous basis against the current one, then merge."""
-    if v_cur.shape[1] == 0:
-        stack = v_prev
-    elif v_prev.shape[1] == 0:
-        stack = v_cur
-    else:
-        resid = v_prev - v_cur @ (v_cur.T @ v_prev)
-        stack = np.hstack([v_cur, resid])
-    if stack.shape[1] == 0:
-        return stack
-    return qr_orthonormalize(stack[:, :stack.shape[0]], drop_tol)
-
-
-@SETTINGS
-@given(st.integers(1, 12), st.data(), seeds)
-def test_warm_basis_spans_what_the_explicit_projection_spans(d, data, seed):
-    rng = np.random.default_rng(seed)
-    k = data.draw(st.integers(0, d), label="current width")
-    # a residual of norm r carries a rounding error of about 1e-16 / r in
-    # its direction, so a 1e-10 projector tolerance needs r >= 1e-5
-    drop_tol = data.draw(st.sampled_from([1e-6, 1e-4, 1e-3, 1e-2]), label="drop_tol")
-    basis = np.linalg.qr(rng.normal(size=(d, d)))[0]
-    v_cur = basis[:, :k]
-    if data.draw(st.booleans(), label="equal bases"):
-        v_prev, width = v_cur.copy(), k
-    else:
-        # previous columns with a residual of norm r outside span(v_cur) and
-        # the columns before them, then columns with residual 0.  A column
-        # dropped before a kept one would leave its rounding-noise direction
-        # projected out of the kept one, differently in the two versions.
-        moving = data.draw(st.integers(0, d - k), label="moving columns")
-        r = np.array(data.draw(st.lists(st.floats(10 * drop_tol, 1.0), min_size=moving,
-                                         max_size=moving), label="residual norms"))
-        static = data.draw(st.integers(0, 3), label="static columns")
-        inside = v_cur @ rng.normal(size=(k, moving + static))
-        inside /= np.maximum(np.linalg.norm(inside, axis=0), 1e-300)
-        v_prev = inside.copy()
-        v_prev[:, :moving] = np.sqrt(1.0 - r**2) * inside[:, :moving] + r * basis[:, k:k + moving]
-        width = k + moving
-    got = np.hstack([v_cur, _warm_basis(v_cur, v_prev, drop_tol)])
-    ref = explicit_warm_basis(v_cur, v_prev, drop_tol)
-    assert got.shape == ref.shape == (d, width)
-    assert np.allclose(got.T @ got, np.eye(got.shape[1]), atol=1e-10)
-    assert np.linalg.norm(got @ got.T - ref @ ref.T) <= 1e-10
-
-
-@SETTINGS
-@given(st.integers(1, 12), st.data(), seeds)
-def test_warm_basis_keeps_moving_columns_behind_static_ones(d, data, seed):
-    # previous columns inside span(v_cur) first, then columns that moved out
-    # of it: an unpivoted QR of [v_cur, v_prev] would drop the static ones
-    # and project their rounding-noise directions out of the moving ones
-    rng = np.random.default_rng(seed)
-    k = data.draw(st.integers(0, d), label="current width")
-    drop_tol = data.draw(st.sampled_from([1e-6, 1e-4, 1e-3, 1e-2]), label="drop_tol")
-    static = data.draw(st.integers(1, 3), label="static columns")
-    moving = data.draw(st.integers(0, d - k), label="moving columns")
-    r = np.array(data.draw(st.lists(st.floats(10 * drop_tol, 1.0), min_size=moving,
-                                     max_size=moving), label="residual norms"))
-    basis = np.linalg.qr(rng.normal(size=(d, d)))[0]
-    v_cur = basis[:, :k]
-    inside = v_cur @ rng.normal(size=(k, static + moving))
-    inside /= np.maximum(np.linalg.norm(inside, axis=0), 1e-300)
-    v_prev = inside.copy()
-    v_prev[:, static:] = (np.sqrt(1.0 - r**2) * inside[:, static:]
-                          + r * basis[:, k:k + moving])
-    got = np.hstack([v_cur, _warm_basis(v_cur, v_prev, drop_tol)])
-    span = basis[:, :k + moving]
-    assert got.shape == (d, k + moving)
-    assert np.array_equal(got[:, :k], v_cur)
-    assert np.allclose(got.T @ got, np.eye(got.shape[1]), atol=1e-10)
-    assert np.linalg.norm(got @ got.T - span @ span.T) <= 1e-10

@@ -33,7 +33,7 @@ from heteromc import (
 import heteromc
 from heteromc import solvers
 from heteromc.data import BlockLayout, ObservationSet, estimate_mu
-from heteromc.lowrank import ThinFactors
+from heteromc.lowrank import ThinFactors, _refill
 from heteromc.jsonconf import from_json, to_json
 
 from conftest import GAUSS, curved_instance, gaussian_instance, penalized_objective
@@ -348,6 +348,11 @@ def test_solver_config_round_trip():
                        ({"max_iters": 0}, "max_iters"), ({"max_iters": 10.0}, "max_iters")]:
         with pytest.raises(ValueError, match=f"^{field} must"):
             SolverConfig(**bad)
+    # bool is an Integral, but True is not a number of iterations, a rank or a weight
+    for name in ("nu", "epsilon", "max_iters", "lipschitz", "constant_c", "init_rank",
+                 "basis_drop", "smoothing", "lam"):
+        with pytest.raises(ValueError, match=f"^{'lambda' if name == 'lam' else name} must"):
+            SolverConfig(**{name: True})
     with pytest.raises(ValueError, match="^losses are read only in general_loss mode"):
         SolverConfig(losses=(LipschitzLoss.logistic(),))
 
@@ -463,21 +468,6 @@ def test_plais_structured_z_builds_omegas_csr_matrix_once(monkeypatch):
     assert len(built) == 1
 
 
-def test_warm_basis_falls_back_to_gesvd_when_gesdd_fails(monkeypatch):
-    rng = np.random.default_rng(5)
-    v_cur = np.linalg.qr(rng.normal(size=(40, 6)))[0]
-    v_prev = np.linalg.qr(rng.normal(size=(40, 6)))[0]
-    expected = solvers._warm_basis(v_cur, v_prev)
-
-    def gesdd_fails(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "svd", gesdd_fails)
-    got = solvers._warm_basis(v_cur, v_prev)
-    assert got.shape == expected.shape == (40, 6)
-    assert np.allclose(got @ got.T, expected @ expected.T, atol=1e-12)
-
-
 GESDD_FAILURE = """
 from dataclasses import replace
 from heteromc import ExperimentSpec, LipschitzLoss, SolverConfig, bench, plais_impute
@@ -526,7 +516,7 @@ def test_plais_picks_the_z_form_by_size(d_u, nnz, form):
     assert fit.z_form == fit.to_dict()["z_form"] == form
 
 
-def test_plais_takes_one_power_step_and_carries_the_tail_ahead_of_the_last_basis(monkeypatch):
+def test_plais_takes_one_power_step_from_the_basis_then_the_tail_then_random_columns(monkeypatch):
     obs, cfg = _sparse_fit_setup("likelihood")
     calls = []
     svt = solvers.approx_svt
@@ -537,23 +527,26 @@ def test_plais_takes_one_power_step_and_carries_the_tail_ahead_of_the_last_basis
         return out
 
     monkeypatch.setattr(solvers, "approx_svt", recording)
-    assert plais_impute(obs, cfg).terminated_by == "tolerance"
+    fit = plais_impute(obs, cfg)
+    assert fit.terminated_by == "tolerance" and len(calls) > 2
     assert all(kwargs == {"max_iters": 1} for _, kwargs, _ in calls)
+    assert fit.input_rank_history == [cfg.init_rank, *fit.rank_history[1:-1]]
+    # the first warm start pads the rank-1 start to init_rank + WARM_SLACK
+    first = calls[0][0]
+    assert np.array_equal(first, _refill(first[:, :1], cfg.init_rank + solvers.WARM_SLACK,
+                                         np.random.default_rng((8082, 1))))
     # after V_t come the last call's sub-threshold Ritz vectors, in their
-    # order; V_{t-1}'s directions only follow them
-    shared = 0
-    for t in range(2, len(calls)):
-        r0 = calls[t][0]
-        (cur, _, tail), prev = calls[t - 1][2], calls[t - 2][2][0]
-        r = cur.rank
-        k = min(tail.shape[1], r0.shape[1] - r)
+    # order, and then exactly the columns _refill draws from (8082, t)
+    for t in range(2, len(calls) + 1):
+        r0 = calls[t - 1][0]
+        cur, _, tail = calls[t - 2][2]
+        r, width = cur.rank, min(cur.rank + solvers.WARM_SLACK, obs.layout.d_u, obs.layout.D)
+        k = min(tail.shape[1], width - r)
+        assert r0.shape[1] == width
         assert np.array_equal(r0[:, :r], cur.v)
         assert np.array_equal(r0[:, r:r + k], tail[:, :k])
-        if k < r0.shape[1] - r:
-            span = np.linalg.qr(np.hstack([cur.v, prev.v]))[0]
-            after = r0[:, r + k]
-            shared += k > 0 and np.linalg.norm(after - span @ (span.T @ after)) < 1e-10
-    assert shared > 0
+        drawn = _refill(np.empty((obs.layout.D, r + k)), width, np.random.default_rng((8082, t)))
+        assert np.array_equal(r0[:, r + k:], drawn[:, r + k:])
 
 
 @pytest.mark.parametrize("form", ["dense", "structured"])
