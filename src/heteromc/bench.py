@@ -130,6 +130,11 @@ class ExperimentSpec:
             raise ValueError("noise must be 'none' or 'model'")
         if not 0 < self.train_fraction <= 1:
             raise ValueError("train_fraction must be in (0, 1]")
+        for name in ("gamma", "rel_lambda"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                    value is None and name == "rel_lambda" or 0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite")
         for m in self.methods:
             if m not in ("collective", "per_source"):
                 raise ValueError(f"unknown method {m!r}")

@@ -21,6 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from .families import ExpFamilyModel, sample as family_sample
+from .jsonconf import check_finite
 
 FACTOR_LAWS = ("gaussian", "poisson", "bernoulli")
 
@@ -339,7 +340,10 @@ class SyntheticConfig:
     shared_factors: bool = False
 
     def __post_init__(self):
+        for name in ("d_u", "gamma", "seed"):
+            check_finite(name, getattr(self, name))
         for name in ("d_vs", "ranks"):
+            check_finite(name, *getattr(self, name))
             sizes = _index_array(name, tuple(getattr(self, name)))
             object.__setattr__(self, name, tuple(sizes.tolist()))
         object.__setattr__(self, "factor_laws", tuple(self.factor_laws))

@@ -21,7 +21,12 @@ Bernoulli data is handled as ``binomial`` with a single trial.  Models also
 carry ``gamma``, a sup-norm bound on the natural parameters of the source,
 and ``kappa``, a tail constant; together these define the interval on which
 the curvature of ``G`` is bracketed by :func:`strong_convexity_bounds`.
+Every family's ``G''`` is monotone on its domain except binomial's, which
+peaks at 0, so the bracket is the min and max of ``G''`` at the interval's
+two ends and at 0 when 0 lies inside.
 
+Each family is one private record: ``G``, ``G'``, ``G''`` and a sampler as
+functions of the nuisance and ``eta``, its nuisance role and its domain.
 All operations are pure functions of their inputs and accept scalars or
 arrays for the natural parameter.  Samplers take an explicit seed or
 generator and never share hidden state.
@@ -31,19 +36,56 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit
 
-FAMILIES = ("gaussian", "binomial", "gamma", "negbinomial", "poisson")
+from .jsonconf import check_finite
 
-_NEGATIVE_DOMAIN = frozenset({"gamma", "negbinomial"})
-_NUISANCE_ROLE = {
-    "gaussian": "variance",
-    "binomial": "trial count",
-    "gamma": "shape",
-    "negbinomial": "success count",
+
+class _Family(NamedTuple):
+    role: str | None  # what the nuisance is; None when there is none
+    g: Callable
+    g_prime: Callable
+    g_second: Callable
+    sample: Callable  # (rng, nuisance, eta) -> draws
+    negative: bool = False  # domain is eta < 0
+
+
+_RECORDS = {
+    "gaussian": _Family(
+        "variance",
+        lambda s, eta: 0.5 * s * eta**2,
+        lambda s, eta: s * eta,
+        lambda s, eta: np.full_like(eta, float(s)),
+        lambda rng, s, eta: rng.normal(s * eta, math.sqrt(s))),
+    "binomial": _Family(
+        "trial count",
+        lambda n, eta: n * np.logaddexp(0.0, eta),  # N log(1 + e^eta), overflow-safe
+        lambda n, eta: n * expit(eta),
+        lambda n, eta: n * expit(eta) * (1.0 - expit(eta)),
+        lambda rng, n, eta: rng.binomial(int(n), expit(eta))),
+    "gamma": _Family(
+        "shape",
+        lambda a, eta: -a * np.log(-eta),
+        lambda a, eta: -a / eta,
+        lambda a, eta: a / eta**2,
+        lambda rng, a, eta: rng.gamma(a, scale=-1.0 / eta),
+        negative=True),
+    "negbinomial": _Family(
+        "success count",
+        lambda r, eta: -r * np.log(-np.expm1(eta)),  # -r log(1 - e^eta)
+        lambda r, eta: r / np.expm1(-eta),  # r e^eta / (1 - e^eta)
+        lambda r, eta: r * np.exp(eta) / np.expm1(eta) ** 2,
+        lambda rng, r, eta: rng.negative_binomial(r, -np.expm1(eta)),
+        negative=True),
+    "poisson": _Family(
+        None, *[lambda _, eta: np.exp(eta)] * 3,  # G = G' = G'' = e^eta
+        lambda rng, _, eta: rng.poisson(np.exp(eta))),
 }
+
+FAMILIES = tuple(_RECORDS)
 
 
 class DomainError(ValueError):
@@ -73,6 +115,8 @@ class ExpFamilyModel:
         gamma and negbinomial, whose parameters must stay away from zero;
         both endpoints must then be negative and ``gamma`` is derived as
         ``max(|lo|, |hi|)``.
+
+    Every number must be finite and none a boolean.
     """
 
     family: str
@@ -82,27 +126,29 @@ class ExpFamilyModel:
     interval: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(
-                f"unknown family {self.family!r}; expected one of {FAMILIES}"
-            )
-        if self.family == "poisson":
+        if self.family not in _RECORDS:
+            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        record = _RECORDS[self.family]
+        check_finite("gamma", self.gamma)
+        check_finite("kappa", self.kappa)
+        if record.role is None:
             if self.nuisance is not None:
-                raise ValueError("poisson has no nuisance parameter")
+                raise ValueError(f"{self.family} has no nuisance parameter")
         else:
-            if self.nuisance is None or self.nuisance <= 0:
-                role = _NUISANCE_ROLE[self.family]
-                raise ValueError(f"{self.family} needs a positive {role}")
+            check_finite("nuisance", self.nuisance)
+            if self.nuisance <= 0:
+                raise ValueError(f"{self.family} nuisance must be a positive {record.role}")
         if self.family == "binomial" and self.nuisance != int(self.nuisance):
             raise ValueError("binomial trial count must be a positive integer")
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
-        if self.family in _NEGATIVE_DOMAIN:
+        if record.negative:
             if self.interval is None:
                 raise ValueError(
                     f"{self.family} needs an admissible interval (lo, hi) "
                     "with lo <= hi < 0"
                 )
+            check_finite("interval", *self.interval)
             lo, hi = float(self.interval[0]), float(self.interval[1])
             if not lo <= hi < 0:
                 raise ValueError(
@@ -120,16 +166,15 @@ class ExpFamilyModel:
     def eval_interval(self) -> tuple[float, float]:
         """Interval over which :func:`strong_convexity_bounds` brackets G''."""
         reach = self.gamma + 1.0 / self.kappa
-        if self.family in _NEGATIVE_DOMAIN:
-            return (-reach, self.interval[1])
-        return (-reach, reach)
+        return (-reach, self.interval[1] if _RECORDS[self.family].negative else reach)
 
 
-def _check_domain(model: ExpFamilyModel, eta) -> None:
-    if model.family in _NEGATIVE_DOMAIN and np.any(np.asarray(eta) >= 0):
-        raise DomainError(
-            f"{model.family} natural parameter must be strictly negative"
-        )
+def _record(model: ExpFamilyModel, eta) -> _Family:
+    """``model``'s family record, once ``eta`` is checked against its domain."""
+    record = _RECORDS[model.family]
+    if record.negative and np.any(np.asarray(eta) >= 0):
+        raise DomainError(f"{model.family} natural parameter must be strictly negative")
+    return record
 
 
 def _unwrap(out: np.ndarray):
@@ -142,88 +187,30 @@ def g_value(model: ExpFamilyModel, eta):
     Strictly convex on the family's domain.  Raises :class:`DomainError`
     for gamma/negbinomial when any ``eta`` is nonnegative.
     """
-    _check_domain(model, eta)
-    eta = np.asarray(eta, dtype=float)
-    k = model.family
-    if k == "gaussian":
-        out = 0.5 * model.nuisance * eta**2
-    elif k == "binomial":
-        # N * log(1 + exp(eta)), overflow-safe
-        out = model.nuisance * np.logaddexp(0.0, eta)
-    elif k == "gamma":
-        out = -model.nuisance * np.log(-eta)
-    elif k == "negbinomial":
-        # -r * log(1 - exp(eta)) for eta < 0
-        out = -model.nuisance * np.log(-np.expm1(eta))
-    else:  # poisson
-        out = np.exp(eta)
-    return _unwrap(out)
+    return _unwrap(_record(model, eta).g(model.nuisance, np.asarray(eta, dtype=float)))
 
 
 def g_prime(model: ExpFamilyModel, eta):
     """First derivative G'; equals the mean of the distribution at ``eta``."""
-    _check_domain(model, eta)
-    eta = np.asarray(eta, dtype=float)
-    k = model.family
-    if k == "gaussian":
-        out = model.nuisance * eta
-    elif k == "binomial":
-        out = model.nuisance * expit(eta)
-    elif k == "gamma":
-        out = -model.nuisance / eta
-    elif k == "negbinomial":
-        # r * exp(eta) / (1 - exp(eta))
-        out = model.nuisance / np.expm1(-eta)
-    else:
-        out = np.exp(eta)
-    return _unwrap(out)
+    return _unwrap(_record(model, eta).g_prime(model.nuisance, np.asarray(eta, dtype=float)))
 
 
 def g_second(model: ExpFamilyModel, eta):
     """Second derivative G''; equals the variance at ``eta``."""
-    _check_domain(model, eta)
-    eta = np.asarray(eta, dtype=float)
-    k = model.family
-    if k == "gaussian":
-        out = np.full_like(eta, float(model.nuisance))
-    elif k == "binomial":
-        p = expit(eta)
-        out = model.nuisance * p * (1.0 - p)
-    elif k == "gamma":
-        out = model.nuisance / eta**2
-    elif k == "negbinomial":
-        out = model.nuisance * np.exp(eta) / np.expm1(eta) ** 2
-    else:
-        out = np.exp(eta)
-    return _unwrap(out)
+    return _unwrap(_record(model, eta).g_second(model.nuisance, np.asarray(eta, dtype=float)))
 
 
 def strong_convexity_bounds(model: ExpFamilyModel) -> tuple[float, float]:
     """Curvature bracket ``(l_sq, u_sq)`` with l_sq <= G'' <= u_sq.
 
-    The bracket holds on ``model.eval_interval``.  Gaussian, binomial,
-    poisson and gamma use closed forms; the negbinomial bracket is taken as
-    the grid min/max of :func:`g_second`, whose closed forms are not
-    reliable in print.
+    The bracket holds on ``model.eval_interval`` and is tight there: it is
+    the min and max of :func:`g_second` at the interval's ends and at its
+    point nearest 0, since G'' is monotone on each family's domain except
+    binomial's, which peaks at 0.
     """
-    k = model.family
-    reach = model.gamma + 1.0 / model.kappa
-    if k == "gaussian":
-        return float(model.nuisance), float(model.nuisance)
-    if k == "binomial":
-        n = model.nuisance
-        low = n * math.exp(-reach) / (1.0 + math.exp(reach)) ** 2
-        return low, n / 4.0
-    if k == "poisson":
-        return math.exp(-reach), math.exp(reach)
-    if k == "gamma":
-        lo, hi = model.interval
-        low = model.nuisance / reach**2
-        high = model.nuisance / min(abs(lo), abs(hi)) ** 2
-        return low, high
-    grid = np.linspace(*model.eval_interval, 4097)
-    vals = g_second(model, grid)
-    return float(vals.min()), float(vals.max())
+    lo, hi = model.eval_interval
+    ends = g_second(model, np.array([lo, min(hi, 0.0), hi]))
+    return float(ends.min()), float(ends.max())
 
 
 def bregman(model: ExpFamilyModel, x, y):
@@ -244,19 +231,7 @@ def sample(model: ExpFamilyModel, eta, rng):
     reproducible for a fixed seed.  The empirical mean converges to
     ``g_prime(model, eta)`` and the variance to ``g_second(model, eta)``.
     """
-    _check_domain(model, eta)
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    eta = np.asarray(eta, dtype=float)
-    k = model.family
-    if k == "gaussian":
-        out = rng.normal(model.nuisance * eta, math.sqrt(model.nuisance))
-    elif k == "binomial":
-        out = rng.binomial(int(model.nuisance), expit(eta))
-    elif k == "gamma":
-        out = rng.gamma(model.nuisance, scale=-1.0 / eta)
-    elif k == "negbinomial":
-        out = rng.negative_binomial(model.nuisance, -np.expm1(eta))
-    else:
-        out = rng.poisson(np.exp(eta))
+    draw = _record(model, eta).sample
+    # a Generator passes through default_rng unaltered
+    out = draw(np.random.default_rng(rng), model.nuisance, np.asarray(eta, dtype=float))
     return _unwrap(np.asarray(out, dtype=float))

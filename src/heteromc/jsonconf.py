@@ -1,16 +1,27 @@
 """Config dataclasses to and from JSON: one strict reader and one writer.
 
 JSON keys are the field names, renamed by an optional class constant
-``JSON_KEYS``.  This module imports nothing from the package.
+``JSON_KEYS``.  :func:`check_finite` is a number check for config
+constructors.  This module imports nothing from the package.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import numbers
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
+
+
+def check_finite(name: str, *values) -> None:
+    """Raise ``ValueError`` naming ``name`` unless every value is a finite
+    number; a boolean is not one, though it compares as 0 or 1."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+                isinstance(value, numbers.Integral) or math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def json_keys(cls) -> dict:

@@ -292,6 +292,12 @@ def test_experiment_spec_validation():
         small_spec(methods=("bogus",))
     with pytest.raises(ValueError):
         small_spec(noise="weird")
+    # the fit weight and the gaussian bound are checked before any fit runs
+    for bad in ({"rel_lambda": -0.01}, {"rel_lambda": 0.0}, {"rel_lambda": math.nan},
+                {"rel_lambda": math.inf}, {"rel_lambda": True}, {"gamma": math.nan},
+                {"gamma": 0.0}, {"gamma": math.inf}):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be positive and finite"):
+            small_spec(**bad)
 
 
 def test_experiment_spec_dict_round_trip():

@@ -471,6 +471,10 @@ def run(argv):
     (FIT_ARGS, {"solver": {"lipschitz": math.nan}}, "lipschitz"),
     (FIT_ARGS, {"solver": {"basis_drop": math.nan}}, "basis_drop"),
     (FIT_ARGS, {"solver": {"smoothing": math.nan}}, "smoothing"),
+    (["generate"], {**GEN_CFG, "families": [{**GAUSS, "nuisance": math.nan}, GAUSS]},
+     "nuisance"),
+    (["experiment"], {**COLD_CFG, "rel_lambda": -0.01}, "rel_lambda"),
+    (["experiment"], {**COLD_CFG, "gamma": math.nan}, "gamma"),
     # a removed solver knob is an unknown key
     (FIT_ARGS, {"solver": {"momentum": False}}, "momentum"),
     (FIT_ARGS, {"solver": {"lambda": "auto", "constant_c": -1}}, "constant_c"),
@@ -491,7 +495,8 @@ def run(argv):
         "trials-float", "init-rank-float", "methods-str", "lambda-flag-abc",
         "p-bool", "p-numeric-str", "target-v-float", "lambda-flag-nan",
         "lambda-flag-inf", "epsilon-flag-nan", "lipschitz-nan", "basis-drop-nan",
-        "smoothing-nan", "removed-momentum", "constant-c-negative", "hinge-loss",
+        "smoothing-nan", "nuisance-nan", "rel-lambda-negative", "experiment-gamma-nan",
+        "removed-momentum", "constant-c-negative", "hinge-loss",
         "likelihood-losses", "bounds-key-typo", "bound-params-key-typo"])
 def test_config_value_fault_is_a_config_error_naming_its_key(tmp_path, capsys, argv, cfg, key):
     gen = generate(tmp_path) if argv[0] == "fit" else None
@@ -518,7 +523,8 @@ def test_integral_p_and_target_v_are_accepted(tmp_path):
     (lambda doc: doc["families"][0].update(kapa=3.0), "'kapa'"),
     (lambda doc: doc.update(d_u=30.7), "'d_u'"),
     (lambda doc: doc.update(d_v=[12, 10]), "'d_v'"),
-], ids=["family-key-typo", "d_u-float", "unknown-key"])
+    (lambda doc: doc["families"][0].update(nuisance=math.nan), "nuisance"),
+], ids=["family-key-typo", "d_u-float", "unknown-key", "nuisance-nan"])
 def test_layout_fault_is_a_data_error_naming_its_key(tmp_path, capsys, edit, key):
     gen = generate(tmp_path)
     doc = json.loads((gen / "layout.json").read_text())

@@ -63,6 +63,33 @@ def test_synthetic_config_sizes_must_be_integers():
     assert cfg.d_vs == (12,) and cfg.ranks == (2,) and type(cfg.d_vs[0]) is int
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: ExpFamilyModel("gaussian", NAN), "nuisance"),
+    (lambda: ExpFamilyModel("gaussian", 1.0, gamma=NAN), "gamma"),
+    (lambda: ExpFamilyModel("poisson", kappa=NAN), "kappa"),
+    (lambda: ExpFamilyModel("binomial", INF), "nuisance"),
+    (lambda: ExpFamilyModel("binomial", True), "nuisance"),
+    (lambda: ExpFamilyModel("poisson", gamma=True), "gamma"),
+    (lambda: ExpFamilyModel("gamma", 2.0, interval=(-INF, -0.5)), "interval"),
+    (lambda: ExpFamilyModel("negbinomial", 1.0, interval=(-2.0, NAN)), "interval"),
+    (lambda: SyntheticConfig(10, (12,), (2,), ("gaussian",), gamma=NAN), "gamma"),
+    (lambda: SyntheticConfig(10, (12,), (2,), ("gaussian",), gamma=True), "gamma"),
+    (lambda: SyntheticConfig(NAN, (12,), (2,), ("gaussian",)), "d_u"),
+    (lambda: SyntheticConfig(10, (True,), (1,), ("gaussian",)), "d_vs"),
+    (lambda: SyntheticConfig(10, (12,), (True,), ("gaussian",)), "ranks"),
+    (lambda: SyntheticConfig(10, (12,), (2,), ("gaussian",), seed=True), "seed"),
+], ids=["nuisance-nan", "gamma-nan", "kappa-nan", "binomial-nuisance-inf",
+        "binomial-nuisance-bool", "gamma-bool", "interval-inf", "interval-nan",
+        "synthetic-gamma-nan", "synthetic-gamma-bool", "d_u-nan", "d_vs-bool",
+        "ranks-bool", "seed-bool"])
+def test_non_finite_or_boolean_number_is_rejected_by_name(build, field):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+        build()
+
+
 def test_mask_sample_extremes():
     full = full_matrix(10, (6, 6))
     obs = mask_sample(full, SamplingScheme.uniform(1.0), 0)

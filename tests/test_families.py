@@ -63,6 +63,9 @@ def test_strong_convexity_sandwich_on_grid(model):
     assert low <= vals.min() + 1e-12
     assert vals.max() <= high + 1e-12
     assert np.all(vals > 0)
+    # and tight: each end is the grid's extreme, up to the grid's spacing
+    assert low == pytest.approx(vals.min(), rel=1e-6)
+    assert high == pytest.approx(vals.max(), rel=1e-6)
 
 
 @pytest.mark.parametrize("model", ALL_FAMILIES, ids=lambda m: m.family)
