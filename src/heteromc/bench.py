@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.stats import binomtest
 
 from .data import (
     CollectiveMatrix,
@@ -33,7 +32,7 @@ from .data import (
     observe_from_model,
 )
 from .families import ExpFamilyModel
-from .jsonconf import to_json
+from .jsonconf import check_finite, check_integer, to_json
 from .lowrank import _values, rank1_svd
 from .objectives import _TILE_ENTRIES, empirical_risk, map_binary_labels
 from .solvers import (
@@ -118,16 +117,20 @@ class ExperimentSpec:
     JSON_KEYS = {"fit_families": "families"}
 
     def __post_init__(self):
-        for name in ("d_vs", "ranks", "factor_laws", "p_grid", "methods"):
+        for name in ("p_grid", "methods"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.fit_families is not None:
             object.__setattr__(self, "fit_families", tuple(self.fit_families) or None)
+        check_finite("p_grid", *self.p_grid)
         if not self.p_grid or any(not 0 < p <= 1 for p in self.p_grid):
             raise ValueError("p_grid must be nonempty with entries in (0, 1]")
+        for name in ("trials", "seed"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.noise not in ("none", "model"):
             raise ValueError("noise must be 'none' or 'model'")
+        check_finite("train_fraction", self.train_fraction)
         if not 0 < self.train_fraction <= 1:
             raise ValueError("train_fraction must be in (0, 1]")
         for name in ("gamma", "rel_lambda"):
@@ -135,6 +138,11 @@ class ExperimentSpec:
             if isinstance(value, bool) or not (
                     value is None and name == "rel_lambda" or 0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite")
+        # the instance is checked here rather than when its first trial runs
+        syn = SyntheticConfig(self.d_u, self.d_vs, self.ranks, self.factor_laws,
+                              gamma=self.gamma, shared_factors=self.shared_factors)
+        for name in ("d_u", "d_vs", "ranks", "factor_laws"):
+            object.__setattr__(self, name, getattr(syn, name))
         for m in self.methods:
             if m not in ("collective", "per_source"):
                 raise ValueError(f"unknown method {m!r}")
@@ -404,4 +412,7 @@ def rate_regression(records: list[MetricRecord], bound_params: dict | None = Non
 
 def sign_test_pvalue(wins: int, n: int) -> float:
     """One-sided exact binomial p-value for ``wins`` successes out of ``n``."""
+    # imported here: scipy.stats adds about 36 MB and 0.45 s to every import
+    from scipy.stats import binomtest
+
     return float(binomtest(wins, n, 0.5, alternative="greater").pvalue)

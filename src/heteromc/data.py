@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from .families import ExpFamilyModel, sample as family_sample
-from .jsonconf import check_finite
+from .jsonconf import check_finite, check_integer
 
 FACTOR_LAWS = ("gaussian", "poisson", "bernoulli")
 
@@ -34,6 +34,8 @@ class BlockLayout:
     d_vs: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "d_u", check_integer("layout d_u", self.d_u))
+        check_finite("layout d_vs", *self.d_vs)
         d_vs = _index_array("layout d_vs", tuple(self.d_vs))
         object.__setattr__(self, "d_vs", tuple(d_vs.tolist()))
         if self.d_u < 1 or self.V < 1 or any(d < 1 for d in self.d_vs):
@@ -99,6 +101,7 @@ class SamplingScheme:
 
     @classmethod
     def uniform(cls, p: float) -> "SamplingScheme":
+        check_finite("p", p)
         if not 0 < p <= 1:
             raise ValueError("uniform sampling probability must be in (0, 1]")
         return cls("uniform", p=float(p))
@@ -340,8 +343,9 @@ class SyntheticConfig:
     shared_factors: bool = False
 
     def __post_init__(self):
-        for name in ("d_u", "gamma", "seed"):
-            check_finite(name, getattr(self, name))
+        for name in ("d_u", "seed"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+        check_finite("gamma", self.gamma)
         for name in ("d_vs", "ranks"):
             check_finite(name, *getattr(self, name))
             sizes = _index_array(name, tuple(getattr(self, name)))

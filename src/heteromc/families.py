@@ -64,7 +64,7 @@ _RECORDS = {
         "trial count",
         lambda n, eta: n * np.logaddexp(0.0, eta),  # N log(1 + e^eta), overflow-safe
         lambda n, eta: n * expit(eta),
-        lambda n, eta: n * expit(eta) * (1.0 - expit(eta)),
+        lambda n, eta: n * expit(eta) * expit(-eta),  # 1 - expit(eta) rounds to 0 past 37
         lambda rng, n, eta: rng.binomial(int(n), expit(eta))),
     "gamma": _Family(
         "shape",
@@ -116,7 +116,8 @@ class ExpFamilyModel:
         both endpoints must then be negative and ``gamma`` is derived as
         ``max(|lo|, |hi|)``.
 
-    Every number must be finite and none a boolean.
+    Every number must be finite and none a boolean, and the curvature
+    bracket of :func:`strong_convexity_bounds` must be finite and positive.
     """
 
     family: str
@@ -161,6 +162,14 @@ class ExpFamilyModel:
             raise ValueError("interval is only meaningful for gamma/negbinomial")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
+        with np.errstate(all="ignore"):
+            bracket = strong_convexity_bounds(self)
+        if not 0 < bracket[0] <= bracket[1] < math.inf:
+            key = "interval" if record.negative else "gamma"
+            raise ValueError(
+                f"{self.family} {key} {getattr(self, key)} with kappa {self.kappa} gives "
+                f"the curvature bracket (l_sq, u_sq) = {bracket} on "
+                f"{self.eval_interval}, which must be finite and positive")
 
     @property
     def eval_interval(self) -> tuple[float, float]:

@@ -1,8 +1,8 @@
 """Config dataclasses to and from JSON: one strict reader and one writer.
 
 JSON keys are the field names, renamed by an optional class constant
-``JSON_KEYS``.  :func:`check_finite` is a number check for config
-constructors.  This module imports nothing from the package.
+``JSON_KEYS``.  :func:`check_finite` and :func:`check_integer` are number
+checks for config constructors.  This module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -22,6 +22,15 @@ def check_finite(name: str, *values) -> None:
         if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
                 isinstance(value, numbers.Integral) or math.isfinite(value)):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an ``int``; raise ``ValueError`` naming ``name`` unless it
+    is a finite number with an integral value (``2.0`` is one, ``True`` not)."""
+    check_finite(name, value)
+    if value != int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def json_keys(cls) -> dict:

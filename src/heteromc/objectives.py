@@ -23,6 +23,7 @@ from scipy.special import expit
 
 from .data import CollectiveMatrix, ObservationSet
 from .families import g_prime, g_value, bregman, strong_convexity_bounds
+from .jsonconf import check_finite
 from .lowrank import ThinFactors, _values
 
 LOSS_KINDS = ("hinge", "logistic", "quantile")
@@ -203,6 +204,7 @@ class LipschitzLoss:
                 raise ValueError("quantile loss needs tau in (0, 1)")
         elif self.tau is not None:
             raise ValueError(f"{self.kind} loss takes no tau")
+        check_finite("rho", self.rho)
         if self.rho <= 0:
             raise ValueError("rho must be positive")
 

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heteromc
 from heteromc import (
     ExpFamilyModel,
     ExperimentSpec,
@@ -154,6 +159,22 @@ def test_collective_beats_per_source_on_shared_factors():
     assert sign_test_pvalue(wins, len(coll)) < 0.05
 
 
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    # only the sign test needs scipy.stats, so it is imported on first use;
+    # the import runs in a fresh interpreter, which no other test has touched
+    src = str(Path(heteromc.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, heteromc, heteromc.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+    # P(X >= 8) for X ~ Binomial(10, 1/2) is 56 / 1024
+    assert sign_test_pvalue(8, 10) == pytest.approx(56 / 1024, rel=1e-12)
+
+
 def test_cold_start_records_and_ordering():
     spec = small_spec(d_u=60, d_vs=(25, 25), ranks=(3, 3), p_grid=(0.4,),
                       trials=10, shared_factors=True)
@@ -288,6 +309,20 @@ def test_experiment_spec_validation():
         small_spec(p_grid=(0.0,))
     with pytest.raises(ValueError):
         small_spec(trials=0)
+    # numbers are checked as SyntheticConfig checks them: a boolean is none
+    for bad, message in (({"trials": 1.5}, "trials must be an integer"),
+                         ({"trials": True}, "trials must be a finite number"),
+                         ({"seed": 2.5}, "seed must be an integer"),
+                         ({"p_grid": (True,)}, "p_grid must be a finite number"),
+                         ({"p_grid": (0.5, math.nan)}, "p_grid must be a finite number"),
+                         ({"train_fraction": True}, "train_fraction must be a finite number"),
+                         # the instance is checked before any trial runs
+                         ({"d_u": 40.5}, "d_u must be an integer"),
+                         ({"factor_laws": ("gaussian", "nope")}, "unknown factor law"),
+                         ({"ranks": (2, 20)}, "ranks must satisfy")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            small_spec(**bad)
+    assert type(small_spec(trials=2.0).trials) is int
     with pytest.raises(ValueError):
         small_spec(methods=("bogus",))
     with pytest.raises(ValueError):

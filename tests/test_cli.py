@@ -473,8 +473,18 @@ def run(argv):
     (FIT_ARGS, {"solver": {"smoothing": math.nan}}, "smoothing"),
     (["generate"], {**GEN_CFG, "families": [{**GAUSS, "nuisance": math.nan}, GAUSS]},
      "nuisance"),
+    # a curvature bracket that overflows or underflows names the family
+    (["generate"], {**GEN_CFG, "families": [{"family": "poisson", "gamma": 800.0}, GAUSS]},
+     "poisson gamma 800.0"),
+    (["generate"], {**GEN_CFG, "families": [{"family": "gamma", "nuisance": 1.0,
+                                             "interval": [-2.0, -1e-200]}, GAUSS]},
+     "gamma interval"),
     (["experiment"], {**COLD_CFG, "rel_lambda": -0.01}, "rel_lambda"),
     (["experiment"], {**COLD_CFG, "gamma": math.nan}, "gamma"),
+    # a loss weight that is not finite would make every fit's objective so
+    (["experiment"], {**COLD_CFG, "solver": {"mode": "general_loss", "lambda": "auto",
+                                             "losses": [{"kind": "quantile", "tau": 0.5,
+                                                         "rho": math.nan}] * 2}}, "rho"),
     # a removed solver knob is an unknown key
     (FIT_ARGS, {"solver": {"momentum": False}}, "momentum"),
     (FIT_ARGS, {"solver": {"lambda": "auto", "constant_c": -1}}, "constant_c"),
@@ -495,7 +505,9 @@ def run(argv):
         "trials-float", "init-rank-float", "methods-str", "lambda-flag-abc",
         "p-bool", "p-numeric-str", "target-v-float", "lambda-flag-nan",
         "lambda-flag-inf", "epsilon-flag-nan", "lipschitz-nan", "basis-drop-nan",
-        "smoothing-nan", "nuisance-nan", "rel-lambda-negative", "experiment-gamma-nan",
+        "smoothing-nan", "nuisance-nan", "poisson-bracket-inf", "gamma-bracket-inf",
+        "rel-lambda-negative", "experiment-gamma-nan",
+        "loss-rho-nan",
         "removed-momentum", "constant-c-negative", "hinge-loss",
         "likelihood-losses", "bounds-key-typo", "bound-params-key-typo"])
 def test_config_value_fault_is_a_config_error_naming_its_key(tmp_path, capsys, argv, cfg, key):
@@ -524,7 +536,10 @@ def test_integral_p_and_target_v_are_accepted(tmp_path):
     (lambda doc: doc.update(d_u=30.7), "'d_u'"),
     (lambda doc: doc.update(d_v=[12, 10]), "'d_v'"),
     (lambda doc: doc["families"][0].update(nuisance=math.nan), "nuisance"),
-], ids=["family-key-typo", "d_u-float", "unknown-key", "nuisance-nan"])
+    (lambda doc: doc["families"][0].update(family="poisson", nuisance=None, gamma=800.0),
+     "poisson gamma 800.0"),
+], ids=["family-key-typo", "d_u-float", "unknown-key", "nuisance-nan",
+        "poisson-bracket-inf"])
 def test_layout_fault_is_a_data_error_naming_its_key(tmp_path, capsys, edit, key):
     gen = generate(tmp_path)
     doc = json.loads((gen / "layout.json").read_text())

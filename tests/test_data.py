@@ -52,6 +52,15 @@ def test_layout_validation():
     with pytest.raises(ValueError, match="layout d_vs must hold int64 integers, got 2.5"):
         BlockLayout(4, (2.5, 3))
     assert BlockLayout(4, (np.int64(2), 3.0)).d_vs == (2, 3)
+    with pytest.raises(ValueError, match="^layout d_u must be an integer, got 2.5"):
+        BlockLayout(2.5, (3,))
+    # a boolean compares as 0 or 1 but is not a size
+    with pytest.raises(ValueError, match="^layout d_u must be a finite number, got True"):
+        BlockLayout(True, (3,))
+    with pytest.raises(ValueError, match="^layout d_vs must be a finite number, got True"):
+        BlockLayout(4, (True, 3))
+    layout = BlockLayout(4.0, (3,))
+    assert layout.d_u == 4 and type(layout.d_u) is int
 
 
 def test_synthetic_config_sizes_must_be_integers():
@@ -59,6 +68,10 @@ def test_synthetic_config_sizes_must_be_integers():
         SyntheticConfig(10, (12.5,), (2,), ("gaussian",))
     with pytest.raises(ValueError, match="ranks must hold int64 integers, got 1.5"):
         SyntheticConfig(10, (12,), (1.5,), ("gaussian",))
+    with pytest.raises(ValueError, match="^d_u must be an integer, got 10.5"):
+        SyntheticConfig(10.5, (12,), (2,), ("gaussian",))
+    with pytest.raises(ValueError, match="^seed must be an integer, got 1.5"):
+        SyntheticConfig(10, (12,), (2,), ("gaussian",), seed=1.5)
     cfg = SyntheticConfig(10, [np.int64(12)], [2.0], ["gaussian"])
     assert cfg.d_vs == (12,) and cfg.ranks == (2,) and type(cfg.d_vs[0]) is int
 
@@ -197,6 +210,9 @@ def test_sampling_scheme_validation():
         SamplingScheme.uniform(0.0)
     with pytest.raises(ValueError):
         SamplingScheme.uniform(1.5)
+    for p in (True, math.nan):
+        with pytest.raises(ValueError, match="^p must be a finite number"):
+            SamplingScheme.uniform(p)
     with pytest.raises(ValueError):
         SamplingScheme.per_entry(np.array([[0.5, 0.0]]))
 

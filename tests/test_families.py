@@ -121,6 +121,20 @@ def test_model_validation():
         ExpFamilyModel("binomial", 2.5)
     # gamma bound is derived from the interval
     assert ExpFamilyModel("gamma", 1.0, interval=(-2.0, -0.5)).gamma == 2.0
+    # a curvature bracket that overflows or underflows is named, with no warning
+    for build, message in (
+            (lambda: ExpFamilyModel("poisson", gamma=800.0), "poisson gamma 800.0"),
+            (lambda: ExpFamilyModel("poisson", kappa=1e-3), "poisson gamma 1.0 with kappa"),
+            (lambda: ExpFamilyModel("binomial", 1, gamma=1e3), "binomial gamma"),
+            (lambda: ExpFamilyModel("gamma", 1.0, interval=(-2.0, -1e-200)),
+             "gamma interval"),
+            (lambda: ExpFamilyModel("negbinomial", 1.0, interval=(-1e3, -1.0)),
+             "negbinomial interval")):
+        with pytest.raises(ValueError, match=f"^{message}.*must be finite and positive"):
+            build()
+    # binomial's G'' stays positive where 1 - sigma(eta) rounds to 0
+    assert strong_convexity_bounds(ExpFamilyModel("binomial", 1, gamma=40.0))[0] == (
+        pytest.approx(math.exp(-41), rel=1e-12))
 
 
 def test_sampler_gaussian_mean():

@@ -134,6 +134,11 @@ def test_loss_values():
         _single_risk(LipschitzLoss.hinge(), 0.5, 1.0)
     with pytest.raises(ValueError):
         LipschitzLoss.quantile(1.5)
+    for rho in (math.nan, math.inf, -math.inf, True):
+        with pytest.raises(ValueError, match="^rho must be a finite number"):
+            LipschitzLoss("hinge", rho=rho)
+    with pytest.raises(ValueError, match="rho must be positive"):
+        LipschitzLoss("hinge", rho=0.0)
 
 
 def _label_obs(seed=0, d_u=10, d_v=8, layout_sizes=(8, 6)):
