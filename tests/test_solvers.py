@@ -1,5 +1,6 @@
 import math
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import replace
@@ -274,6 +275,21 @@ def test_both_drivers_share_flags_stop_and_histories(driver, start_ranks):
     assert len(one.objective_history) == 2
     # only plais_impute records the rank of its starting point
     assert len(one.rank_history) == 1 + start_ranks
+
+
+@pytest.mark.parametrize("driver", [apg_solve, plais_impute], ids=["apg_solve", "plais_impute"])
+def test_a_finished_solve_trims_the_heap_once_from_trim_min_entries(monkeypatch, driver):
+    if sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc":
+        assert solvers._MALLOC_TRIM is not None
+    pads = []
+    monkeypatch.setattr(solvers, "_MALLOC_TRIM", pads.append)
+    obs, _ = gaussian_instance(seed=21, p=0.9)
+    entries = obs.layout.d_u * obs.layout.D
+    for bound, trims in ((entries + 1, []), (entries, [0])):
+        monkeypatch.setattr(solvers, "TRIM_MIN_ENTRIES", bound)
+        pads.clear()
+        driver(obs, SolverConfig(lam=0.1, max_iters=5))
+        assert pads == trims
 
 
 def test_lambda_heuristic_hand_formula():
