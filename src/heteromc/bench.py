@@ -32,7 +32,7 @@ from .data import (
     observe_from_model,
 )
 from .families import ExpFamilyModel
-from .jsonconf import check_finite, check_integer, to_json
+from .jsonconf import check_number, to_json
 from .lowrank import _values, rank1_svd
 from .objectives import _TILE_ENTRIES, empirical_risk, map_binary_labels
 from .solvers import (
@@ -121,23 +121,19 @@ class ExperimentSpec:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.fit_families is not None:
             object.__setattr__(self, "fit_families", tuple(self.fit_families) or None)
-        check_finite("p_grid", *self.p_grid)
-        if not self.p_grid or any(not 0 < p <= 1 for p in self.p_grid):
-            raise ValueError("p_grid must be nonempty with entries in (0, 1]")
-        for name in ("trials", "seed"):
-            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        for p in self.p_grid:
+            check_number("p_grid", p, "in (0, 1]")
+        if not self.p_grid:
+            raise ValueError("p_grid must be nonempty, got ()")
+        object.__setattr__(self, "trials",
+                           check_number("trials", self.trials, "positive", integer="value"))
+        object.__setattr__(self, "seed", check_number("seed", self.seed, integer="value"))
         if self.noise not in ("none", "model"):
             raise ValueError("noise must be 'none' or 'model'")
-        check_finite("train_fraction", self.train_fraction)
-        if not 0 < self.train_fraction <= 1:
-            raise ValueError("train_fraction must be in (0, 1]")
-        for name in ("gamma", "rel_lambda"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                    value is None and name == "rel_lambda" or 0 < value < math.inf):
-                raise ValueError(f"{name} must be positive and finite")
+        check_number("train_fraction", self.train_fraction, "in (0, 1]")
+        check_number("gamma", self.gamma, "positive")
+        if self.rel_lambda is not None:
+            check_number("rel_lambda", self.rel_lambda, "positive")
         # the instance is checked here rather than when its first trial runs
         syn = SyntheticConfig(self.d_u, self.d_vs, self.ranks, self.factor_laws,
                               gamma=self.gamma, shared_factors=self.shared_factors)

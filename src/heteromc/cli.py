@@ -58,11 +58,9 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _check_keys(cfg: dict, known=()) -> None:
-    """Reject top-level config keys that neither ``known`` nor the CLI reads."""
-    read_by_cli = {"solver", "seed", "p", "families", "bound_params", "target_v",
-                   "obs", "layout", "kind", "params"}
-    if unknown := sorted(set(cfg) - read_by_cli - set(known)):
+def _check_keys(cfg: dict, known) -> None:
+    """Reject top-level config keys that the command does not read, ``known``."""
+    if unknown := sorted(set(cfg) - set(known)):
         raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
 
 
@@ -74,11 +72,12 @@ def _solver_dict(cfg: dict, args) -> dict:
     return {**solver, **flags} if isinstance(solver, dict) else solver
 
 
-def _read_spec(cls, cfg: dict, args, **doc):
+def _read_spec(cls, cfg: dict, args, reads=(), **doc):
     """``cls`` read from the config keys it owns, with the seed, gaussian
-    factor laws when none are given, and ``doc`` filled in."""
+    factor laws when none are given, and ``doc`` filled in; the command
+    itself ``reads`` the config's other keys."""
     keys = json_keys(cls)
-    _check_keys(cfg, keys)
+    _check_keys(cfg, {*keys, *reads})
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("a seed is required")
@@ -88,11 +87,9 @@ def _read_spec(cls, cfg: dict, args, **doc):
     return from_json(cls, {**own, "seed": seed, **doc}, "config")
 
 
-def _experiment_spec(cfg: dict, args) -> ExperimentSpec:
-    p_grid = [args.p] if args.p is not None else cfg.get("p_grid")
-    if not p_grid:
-        raise ConfigError("p_grid must be a nonempty list of probabilities")
-    return _read_spec(ExperimentSpec, cfg, args, p_grid=p_grid,
+def _experiment_spec(cfg: dict, args, reads) -> ExperimentSpec:
+    p_grid = {"p_grid": [args.p]} if args.p is not None else {}
+    return _read_spec(ExperimentSpec, cfg, args, reads, **p_grid,
                       solver=_solver_dict(cfg, args))
 
 
@@ -120,7 +117,7 @@ def _write_curves(rows, path: Path) -> None:
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args.config)
-    syn = _read_spec(SyntheticConfig, cfg, args)
+    syn = _read_spec(SyntheticConfig, cfg, args, ("p", "families"))
     p = args.p if args.p is not None else cfg.get("p")
     if p is None:
         raise ConfigError("a sampling probability p is required")
@@ -141,7 +138,7 @@ def cmd_generate(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
-    _check_keys(cfg)
+    _check_keys(cfg, ("solver", "obs", "layout"))
     sc = from_json(SolverConfig, _solver_dict(cfg, args), "solver")
     obs_path = args.obs or cfg.get("obs")
     layout_path = args.layout or cfg.get("layout")
@@ -179,7 +176,7 @@ def cmd_fit(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
-    spec = _experiment_spec(cfg, args)
+    spec = _experiment_spec(cfg, args, ("bound_params",))
     _bound_at(cfg.get("bound_params"), spec.p_grid[0])  # a bad key fails before the run
     records = run_experiment(spec, jobs=args.jobs)
     out = Path(args.out)
@@ -191,7 +188,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_coldstart(args) -> int:
     cfg = _load_config(args.config)
-    spec = _experiment_spec(cfg, args)
+    spec = _experiment_spec(cfg, args, ("target_v",))
     target_v = from_json(int, cfg.get("target_v", 0), "config", "target_v")
     records = run_cold_start(spec, target_v, jobs=args.jobs)
     out = Path(args.out)
@@ -208,7 +205,7 @@ def cmd_coldstart(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg = _load_config(args.config)
-    _check_keys(cfg)
+    _check_keys(cfg, ("kind", "params"))
     kind = cfg.get("kind", "expfam")
     params = cfg.get("params")
     if params is None:
@@ -236,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--seed", type=int)
+    # fit and bounds draw nothing at random, so only the other commands take a seed
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int)
 
     solver_flags = argparse.ArgumentParser(add_help=False)
     solver_flags.add_argument("--lambda", dest="lam", type=number_or_auto,
@@ -244,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     solver_flags.add_argument("--nu", type=float)
     solver_flags.add_argument("--epsilon", type=float)
 
-    gen = sub.add_parser("generate", parents=[common],
+    gen = sub.add_parser("generate", parents=[seeded],
                          help="write a synthetic observation set")
     gen.add_argument("--p", type=float, help="uniform sampling probability")
     gen.add_argument("--out", required=True)
@@ -261,14 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help=verbose_help)
     fit.set_defaults(func=cmd_fit)
 
-    exp = sub.add_parser("experiment", parents=[common, solver_flags],
+    exp = sub.add_parser("experiment", parents=[seeded, solver_flags],
                          help="run the synthetic p sweep")
     exp.add_argument("--p", type=float, help="replace the config p grid")
     exp.add_argument("--out", required=True)
     exp.add_argument("--jobs", type=int, default=1)
     exp.set_defaults(func=cmd_experiment)
 
-    cold = sub.add_parser("coldstart", parents=[common, solver_flags],
+    cold = sub.add_parser("coldstart", parents=[seeded, solver_flags],
                           help="run the cold-start comparison")
     cold.add_argument("--p", type=float)
     cold.add_argument("--out", required=True)

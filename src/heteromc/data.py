@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from .families import ExpFamilyModel, sample as family_sample
-from .jsonconf import check_finite, check_integer
+from .jsonconf import check_number
 
 FACTOR_LAWS = ("gaussian", "poisson", "bernoulli")
 
@@ -34,12 +34,14 @@ class BlockLayout:
     d_vs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "d_u", check_integer("layout d_u", self.d_u))
-        check_finite("layout d_vs", *self.d_vs)
+        object.__setattr__(self, "d_u",
+                           check_number("layout d_u", self.d_u, "positive", integer="value"))
+        for d in self.d_vs:
+            check_number("layout d_vs", d, "positive")
         d_vs = _index_array("layout d_vs", tuple(self.d_vs))
         object.__setattr__(self, "d_vs", tuple(d_vs.tolist()))
-        if self.d_u < 1 or self.V < 1 or any(d < 1 for d in self.d_vs):
-            raise ValueError("layout dimensions must be positive")
+        if not self.d_vs:
+            raise ValueError("layout d_vs must be nonempty, got ()")
         offsets = np.concatenate([[0], np.cumsum(self.d_vs)])
         object.__setattr__(self, "_offsets", offsets)
 
@@ -101,16 +103,16 @@ class SamplingScheme:
 
     @classmethod
     def uniform(cls, p: float) -> "SamplingScheme":
-        check_finite("p", p)
-        if not 0 < p <= 1:
-            raise ValueError("uniform sampling probability must be in (0, 1]")
+        check_number("p", p, "in (0, 1]")
         return cls("uniform", p=float(p))
 
     @classmethod
     def per_entry(cls, table: np.ndarray) -> "SamplingScheme":
         table = np.asarray(table, dtype=float)
-        if table.size == 0 or table.min() <= 0 or table.max() > 1:
-            raise ValueError("per-entry probabilities must lie in (0, 1]")
+        bad = table[~((table > 0) & (table <= 1))]  # NaN fails both comparisons
+        if table.size == 0 or bad.size:
+            got = float(bad[0]) if bad.size else table
+            raise ValueError(f"table must hold probabilities in (0, 1], got {got!r}")
         return cls("per_entry", table=table)
 
     def prob_matrix(self, layout: BlockLayout) -> np.ndarray:
@@ -125,6 +127,8 @@ def _index_array(name: str, values) -> np.ndarray:
     """``values`` as a flat int64 array; a non-integer dtype must hold
     integral values that int64 can represent."""
     arr = np.asarray(values)
+    if arr.dtype.kind == "b":  # a boolean casts to 0 or 1 without complaint
+        raise ValueError(f"{name} must hold int64 integers, got booleans")
     if arr.dtype.kind not in "iu":
         arr = arr.astype(float, copy=False)
         bad = ~(np.isfinite(arr) & (arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63))
@@ -344,10 +348,11 @@ class SyntheticConfig:
 
     def __post_init__(self):
         for name in ("d_u", "seed"):
-            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
-        check_finite("gamma", self.gamma)
+            object.__setattr__(self, name, check_number(name, getattr(self, name), integer="value"))
+        check_number("gamma", self.gamma, "positive")
         for name in ("d_vs", "ranks"):
-            check_finite(name, *getattr(self, name))
+            for size in getattr(self, name):
+                check_number(name, size)
             sizes = _index_array(name, tuple(getattr(self, name)))
             object.__setattr__(self, name, tuple(sizes.tolist()))
         object.__setattr__(self, "factor_laws", tuple(self.factor_laws))
@@ -359,8 +364,6 @@ class SyntheticConfig:
         for dv, r in zip(self.d_vs, self.ranks):
             if not 1 <= r <= min(self.d_u, dv):
                 raise ValueError("ranks must satisfy 1 <= r <= min(d_u, d_v)")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
         if self.shared_factors and len(set(self.ranks)) != 1:
             raise ValueError("shared_factors requires equal ranks")
 

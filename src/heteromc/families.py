@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import expit
 
-from .jsonconf import check_finite
+from .jsonconf import check_number
 
 
 class _Family(NamedTuple):
@@ -130,26 +130,23 @@ class ExpFamilyModel:
         if self.family not in _RECORDS:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         record = _RECORDS[self.family]
-        check_finite("gamma", self.gamma)
-        check_finite("kappa", self.kappa)
+        # a family with a negative domain derives gamma from its interval below
+        check_number("gamma", self.gamma, None if record.negative else "positive")
+        check_number("kappa", self.kappa, "positive")
         if record.role is None:
             if self.nuisance is not None:
                 raise ValueError(f"{self.family} has no nuisance parameter")
         else:
-            check_finite("nuisance", self.nuisance)
-            if self.nuisance <= 0:
-                raise ValueError(f"{self.family} nuisance must be a positive {record.role}")
-        if self.family == "binomial" and self.nuisance != int(self.nuisance):
-            raise ValueError("binomial trial count must be a positive integer")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+            check_number("nuisance", self.nuisance, "positive",
+                         integer="value" if self.family == "binomial" else None)
         if record.negative:
             if self.interval is None:
                 raise ValueError(
                     f"{self.family} needs an admissible interval (lo, hi) "
                     "with lo <= hi < 0"
                 )
-            check_finite("interval", *self.interval)
+            for end in self.interval:
+                check_number("interval", end)
             lo, hi = float(self.interval[0]), float(self.interval[1])
             if not lo <= hi < 0:
                 raise ValueError(
@@ -160,8 +157,6 @@ class ExpFamilyModel:
             object.__setattr__(self, "gamma", max(abs(lo), abs(hi)))
         elif self.interval is not None:
             raise ValueError("interval is only meaningful for gamma/negbinomial")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
         with np.errstate(all="ignore"):
             bracket = strong_convexity_bounds(self)
         if not 0 < bracket[0] <= bracket[1] < math.inf:

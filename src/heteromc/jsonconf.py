@@ -1,8 +1,9 @@
 """Config dataclasses to and from JSON: one strict reader and one writer.
 
 JSON keys are the field names, renamed by an optional class constant
-``JSON_KEYS``.  :func:`check_finite` and :func:`check_integer` are number
-checks for config constructors.  This module imports nothing from the package.
+``JSON_KEYS``.  :func:`check_number` is the one number check of every record
+built from outside input: configs, layouts, families, losses and sampling
+schemes.  This module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -15,22 +16,38 @@ import typing
 from dataclasses import MISSING, fields, is_dataclass
 
 
-def check_finite(name: str, *values) -> None:
-    """Raise ``ValueError`` naming ``name`` unless every value is a finite
-    number; a boolean is not one, though it compares as 0 or 1."""
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-                isinstance(value, numbers.Integral) or math.isfinite(value)):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
+_RANGES = {
+    "positive": lambda x: x > 0,
+    "nonnegative": lambda x: x >= 0,
+    "in (0, 1)": lambda x: 0 < x < 1,
+    "in (0, 1]": lambda x: 0 < x <= 1,
+}
 
 
-def check_integer(name: str, value) -> int:
-    """``value`` as an ``int``; raise ``ValueError`` naming ``name`` unless it
-    is a finite number with an integral value (``2.0`` is one, ``True`` not)."""
-    check_finite(name, value)
-    if value != int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def check_number(name: str, value, bounds: str | None = None, *,
+                 integer: typing.Literal["value", "type"] | None = None):
+    """``value``, checked as the field ``name`` of a record.
+
+    Raises ``ValueError("<name> must be <fault>, got <value!r>")`` unless
+    ``value`` is a finite real number and not a boolean, which compares as 0
+    or 1 (fault ``a finite number``); integral when ``integer`` is set
+    (``an integer``); and within ``bounds``, one of ``"positive"``,
+    ``"nonnegative"``, ``"in (0, 1)"`` and ``"in (0, 1]"``, which is also
+    the fault's wording.  ``integer="value"`` takes any integral value and
+    returns it as an ``int`` (``2.0`` gives ``2``); ``integer="type"`` takes
+    only an integer type, so ``2.0`` is an error.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or math.isfinite(value)):
+        fault = "a finite number"
+    elif integer and not (isinstance(value, numbers.Integral) if integer == "type"
+                          else value == int(value)):
+        fault = "an integer"
+    elif bounds is not None and not _RANGES[bounds](value):
+        fault = bounds
+    else:
+        return int(value) if integer else value
+    raise ValueError(f"{name} must be {fault}, got {value!r}")
 
 
 def json_keys(cls) -> dict:

@@ -23,7 +23,7 @@ from scipy.special import expit
 
 from .data import CollectiveMatrix, ObservationSet
 from .families import g_prime, g_value, bregman, strong_convexity_bounds
-from .jsonconf import check_finite
+from .jsonconf import check_number
 from .lowrank import ThinFactors, _values
 
 LOSS_KINDS = ("hinge", "logistic", "quantile")
@@ -200,13 +200,10 @@ class LipschitzLoss:
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss {self.kind!r}; expected one of {LOSS_KINDS}")
         if self.kind == "quantile":
-            if self.tau is None or not 0 < self.tau < 1:
-                raise ValueError("quantile loss needs tau in (0, 1)")
+            check_number("tau", self.tau, "in (0, 1)")
         elif self.tau is not None:
             raise ValueError(f"{self.kind} loss takes no tau")
-        check_finite("rho", self.rho)
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        check_number("rho", self.rho, "positive")
 
     @classmethod
     def hinge(cls) -> "LipschitzLoss":
@@ -253,9 +250,8 @@ def solver_loss_terms(loss: LipschitzLoss, smoothing: float = 1e-2):
     if loss.kind == "logistic":
         return partial(_loss, loss), lambda y, x: -y * expit(-y * x)
     if loss.kind == "quantile":
+        check_number("smoothing", smoothing, "positive")
         tau, m = loss.tau, float(smoothing)
-        if m <= 0:
-            raise ValueError("smoothing must be positive")
         lo, hi = m * (tau - 1.0), m * tau
 
         def value(y, x):

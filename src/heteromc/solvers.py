@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import numbers
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -33,7 +32,7 @@ import numpy as np
 
 from .data import ObservationSet, estimate_mu
 from .families import strong_convexity_bounds
-from .jsonconf import to_json
+from .jsonconf import check_number, to_json
 from .lowrank import (
     SparsePlusLowRank,
     ThinFactors,
@@ -128,23 +127,16 @@ class SolverConfig:
     JSON_KEYS = {"lam": "lambda"}
 
     def __post_init__(self):
-        # bool is an Integral, so True would pass every check below as 1
-        if isinstance(self.nu, bool) or not 0 < self.nu < 1:
-            raise ValueError("nu must lie in (0, 1)")
-        for name in ("epsilon", "lipschitz", "basis_drop", "smoothing", "constant_c"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                    value is None and name == "lipschitz" or 0 < value < math.inf):
-                raise ValueError(f"{name} must be positive and finite")
-        for name in ("max_iters", "init_rank"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                    isinstance(value, numbers.Integral) and value >= 1
-                    or value is None and name == "init_rank"):
-                raise ValueError(f"{name} must be an integer >= 1")
-        if self.lam != "auto" and (isinstance(self.lam, bool)
-                                   or not 0 <= float(self.lam) < math.inf):
-            raise ValueError("lambda must be nonnegative and finite")
+        check_number("nu", self.nu, "in (0, 1)")
+        for name in ("epsilon", "basis_drop", "smoothing", "constant_c"):
+            check_number(name, getattr(self, name), "positive")
+        if self.lipschitz is not None:
+            check_number("lipschitz", self.lipschitz, "positive")
+        check_number("max_iters", self.max_iters, "positive", integer="type")
+        if self.init_rank is not None:
+            check_number("init_rank", self.init_rank, "positive", integer="type")
+        if self.lam != "auto":
+            check_number("lambda", self.lam, "nonnegative")
         if self.mode not in ("likelihood", "general_loss"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "general_loss" and not self.losses:
@@ -203,8 +195,7 @@ class FitResult:
 
 def lambda_heuristic(obs: ObservationSet, constant_c: float = 1.0) -> float:
     """Regularization weight 2c (U v K)(sqrt(mu) + log(d_u v D)^{3/2}) / (d_u D)."""
-    if constant_c <= 0:
-        raise ValueError("constant_c must be positive")
+    check_number("constant_c", constant_c, "positive")
     families = _families(obs)
     mu = estimate_mu(obs)
     u_gamma = max(math.sqrt(strong_convexity_bounds(m)[1]) for m in families)
@@ -216,8 +207,7 @@ def lambda_heuristic(obs: ObservationSet, constant_c: float = 1.0) -> float:
 
 def lambda_general_loss(obs: ObservationSet, losses, constant_c: float = 1.0) -> float:
     """Distribution-free weight 2c rho (sqrt(mu) + sqrt(log(d_u v D))) / (d_u D)."""
-    if constant_c <= 0:
-        raise ValueError("constant_c must be positive")
+    check_number("constant_c", constant_c, "positive")
     rho = max(l.rho for l in losses)
     mu = estimate_mu(obs)
     d_u, big_d = obs.layout.d_u, obs.layout.D

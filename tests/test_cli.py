@@ -501,6 +501,17 @@ def run(argv):
     (["experiment"], {**COLD_CFG, "bound_params": {"rank": 1, "d_u": 20, "D": 16,
                                                    "gamma": 1.0, "L2": 1.0, "U2": 1.0,
                                                    "constnt_c": 50.0}}, "'constnt_c'"),
+    # a command takes only the flags and top-level keys it reads: fit and
+    # bounds draw nothing at random, and no command reads another's keys
+    ([*FIT_ARGS, "--seed", "9"], {}, "--seed"),
+    (["bounds", "--seed", "9"], {"params": {"rank": 5, "p": 0.5, "d_u": 300, "D": 300,
+                                            "mu": 600, "gamma": 1.0, "L2": 1.0, "U2": 1.0}},
+     "--seed"),
+    (FIT_ARGS, {"target_v": 0, "p": 0.5, "seed": 9, "bound_params": {}},
+     "'bound_params', 'p', 'seed', 'target_v'"),
+    (["generate"], {**GEN_CFG, "solver": {}, "target_v": 0, "obs": "obs.csv"},
+     "'obs', 'solver', 'target_v'"),
+    (["coldstart"], {**COLD_CFG, "bound_params": {}}, "'bound_params'"),
 ], ids=["family-key-typo", "d_u-float", "seed-float", "trials-str", "nuisance-str",
         "trials-float", "init-rank-float", "methods-str", "lambda-flag-abc",
         "p-bool", "p-numeric-str", "target-v-float", "lambda-flag-nan",
@@ -509,7 +520,9 @@ def run(argv):
         "rel-lambda-negative", "experiment-gamma-nan",
         "loss-rho-nan",
         "removed-momentum", "constant-c-negative", "hinge-loss",
-        "likelihood-losses", "bounds-key-typo", "bound-params-key-typo"])
+        "likelihood-losses", "bounds-key-typo", "bound-params-key-typo",
+        "fit-seed-flag", "bounds-seed-flag", "fit-foreign-keys", "generate-foreign-keys",
+        "coldstart-bound-params"])
 def test_config_value_fault_is_a_config_error_naming_its_key(tmp_path, capsys, argv, cfg, key):
     gen = generate(tmp_path) if argv[0] == "fit" else None
     argv = [a.format(gen=gen) for a in argv]

@@ -146,6 +146,9 @@ def test_observation_set_validation():
         message = re.escape(f"index v must hold int64 integers, got {bad}")
         with pytest.raises(ValueError, match=message):
             ObservationSet(layout, [bad], [1], [2], [5.0])
+    # a boolean casts to 0 or 1 but is not an index
+    with pytest.raises(ValueError, match="^observation index v must hold int64 integers, got booleans"):
+        ObservationSet(BlockLayout(2, (2,)), [False, False], [True, False], [0, True], [1., 2.])
     whole = ObservationSet(layout, [0.0], np.array([1.0], dtype=np.float32), [2.0], [5.0])
     assert whole.i.dtype == np.int64 and (whole.v[0], whole.i[0], whole.j[0]) == (0, 1, 2)
 
@@ -215,6 +218,9 @@ def test_sampling_scheme_validation():
             SamplingScheme.uniform(p)
     with pytest.raises(ValueError):
         SamplingScheme.per_entry(np.array([[0.5, 0.0]]))
+    # NaN compares false both ways, so it must not pass as a probability
+    with pytest.raises(ValueError, match=r"^table must hold probabilities in \(0, 1\], got nan"):
+        SamplingScheme.per_entry(np.array([[0.5, np.nan]]))
 
 
 def test_generate_synthetic_rank_one_ones():
