@@ -355,6 +355,8 @@ class SyntheticConfig:
                 check_number(name, size)
             sizes = _index_array(name, tuple(getattr(self, name)))
             object.__setattr__(self, name, tuple(sizes.tolist()))
+        if not self.d_vs:
+            raise ValueError("d_vs must be nonempty, got ()")
         object.__setattr__(self, "factor_laws", tuple(self.factor_laws))
         if not len(self.d_vs) == len(self.ranks) == len(self.factor_laws):
             raise ValueError("d_vs, ranks and factor_laws must have equal length")

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import sparse
+from scipy.linalg import lapack
 
 
 def _values(z) -> np.ndarray:
@@ -107,15 +108,20 @@ def qr_orthonormalize(m: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
     be narrower than the input.  The QR is unpivoted, so a column dropped
     before a kept one still takes a direction (its residual's, or rounding
     noise), which is then projected out of the kept ones: they can span less
-    than the range of ``m``.
+    than the range of ``m``.  It calls LAPACK ``geqrf`` and ``orgqr`` with
+    the workspace sizes their own queries return, as
+    ``scipy.linalg.qr(mode="economic")`` does, so Q has the same bits, but
+    forms no R: only its diagonal is read.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] < m.shape[1]:
         raise ValueError("need at least as many rows as columns")
     if m.shape[1] == 0:
         return m.copy()
-    q, r = linalg.qr(m, mode="economic", check_finite=False)
-    diag = np.diagonal(r)
+    qr, tau, _, _ = lapack.dgeqrf(m, lwork=int(lapack.dgeqrf_lwork(*m.shape)[0]))
+    diag = qr.diagonal().copy()  # orgqr overwrites R with Q
+    lwork = int(lapack.dorgqr(qr, tau, lwork=-1, overwrite_a=1)[1][0])
+    q = lapack.dorgqr(qr, tau, lwork=lwork, overwrite_a=1)[0]
     q *= np.where(diag < 0, -1.0, 1.0)
     keep = np.abs(diag) > drop_tol
     return q if keep.all() else q[:, keep]
@@ -131,16 +137,19 @@ def _subspace_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.sum(ra**2) + np.sum(rb**2)))
 
 
-def _refill(q: np.ndarray, width: int, rng: np.random.Generator) -> np.ndarray:
+def _refill(q: np.ndarray, width: int, seed) -> np.ndarray:
     """Append random columns to the basis ``q`` until it has ``max(width, 1)``.
 
     The power method uses only the span of its warm start, so the new
     columns are neither orthogonalized nor normalized; they are scaled by
     1/sqrt(D) to unit expected norm, since the QR drop tolerance is absolute.
+    They are drawn from ``np.random.default_rng(seed)``, which is built only
+    when columns are missing; ``seed`` may be a Generator.
     """
     extra = max(width, 1) - q.shape[1]
     if extra <= 0:
         return q
+    rng = np.random.default_rng(seed)
     return np.hstack([q, rng.standard_normal((q.shape[0], extra)) / np.sqrt(q.shape[0])])
 
 

@@ -14,8 +14,9 @@ penalty is :func:`nuclear_norm`.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.sparse.linalg import svds
@@ -34,6 +35,9 @@ LOSS_KINDS = ("hinge", "logistic", "quantile")
 # for row dots over Omega.  At rank 1 a tile's product, of inner dimension
 # 1, costs 3.8 ns per entry (0.7 at rank 2), so the tiles take 32 ms and
 # u_i sigma v_j read on Omega 3.5 ms (medians of 15; 2 CPUs, 1 BLAS thread).
+# When one tile covers the matrix (d_u <= _TILE_ENTRIES // D, as at every
+# desk size) it is read in observation order through the flat index i * D + col,
+# with no CSR order and no scatter back.
 _TILE_ENTRIES = 2**18
 
 
@@ -74,6 +78,11 @@ class DataTerm:
         self.n_total = _n_total(obs)
         self._tiles = None
 
+    @cached_property
+    def _flat(self) -> np.ndarray:
+        # each observation's position in the row-major d_u x D matrix, in observation order
+        return self.obs.i * self.obs.layout.D + self.obs.cols
+
     def gather(self, w) -> np.ndarray:
         """Entries of ``w`` on Omega, in observation order.
 
@@ -95,15 +104,18 @@ class DataTerm:
         # Rank 1: u_i sigma v_j with the tile product's two roundings, so the
         # same bits.  Higher ranks, row tile by row tile: form the tile of
         # (u sigma) v^T, then read the observed entries from it, in CSR
-        # order; O(d_u D r) flops, O(tile) memory.
+        # order; O(d_u D r) flops, O(tile) memory.  A single tile is read in
+        # observation order.
         if f.rank == 0:
             return np.zeros(self.obs.n)
         if f.rank == 1:
             return np.take(f.u[:, 0] * f.sigma[0], self.obs.i) * np.take(f.v[:, 0], self.obs.cols)
+        d_u, big_d = self.obs.layout.d_u, self.obs.layout.D
+        rows = max(1, _TILE_ENTRIES // big_d)
+        if rows >= d_u:
+            return np.take((f.u * f.sigma) @ f.v.T, self._flat)
         if self._tiles is None:
             order, cols, indptr = self.obs.csr_index()
-            d_u, big_d = self.obs.layout.d_u, self.obs.layout.D
-            rows = max(1, _TILE_ENTRIES // big_d)
             starts = np.arange(0, d_u, rows)
             flat = (self.obs.i[order] % rows) * big_d + cols
             self._tiles = (order, flat, starts, indptr[np.append(starts, d_u)], rows)
@@ -136,9 +148,9 @@ class DataTerm:
 
     def grad(self, w) -> np.ndarray:
         """Dense d_u x D gradient; zero off the observed support."""
-        out = np.zeros((self.obs.layout.d_u, self.obs.layout.D))
-        out[self.obs.i, self.obs.cols] = self.grad_on_omega(w)
-        return out
+        out = np.zeros(self.obs.layout.d_u * self.obs.layout.D)
+        out[self._flat] = self.grad_on_omega(w)
+        return out.reshape(self.obs.layout.d_u, self.obs.layout.D)
 
 
 def _likelihood_pair(model):
@@ -148,8 +160,18 @@ def _likelihood_pair(model):
 
 
 def _likelihood_term(obs: ObservationSet) -> DataTerm:
-    """Likelihood-mode data term: the negative log-likelihood over Omega."""
-    return DataTerm(obs, [_likelihood_pair(m) for m in _families(obs)])
+    """Likelihood-mode data term: the negative log-likelihood over Omega.
+
+    Built on first use, then cached on the set, as its CSR index is.  The
+    cached term holds the set through a weak proxy: a cycle between them
+    would keep a dead set alive until a full garbage collection.
+    """
+    term = obs.__dict__.get("_likelihood")
+    if term is None:
+        term = DataTerm(obs, [_likelihood_pair(m) for m in _families(obs)])
+        term.obs = weakref.proxy(obs)
+        object.__setattr__(obs, "_likelihood", term)
+    return term
 
 
 def neg_log_likelihood(obs: ObservationSet, w) -> float:

@@ -221,11 +221,14 @@ def theory_bound(kind: str, params: dict) -> float:
     ``kind="expfam"`` gives the normalized squared-Frobenius rate for the
     likelihood estimator, ``kind="general"`` the excess-risk rate for
     Lipschitz losses.  Only used to draw curves next to empirical errors.
+    ``p`` must lie in (0, 1] and every other constant be positive and finite.
     """
     known = {"constant_c", "d_u", "D", "p", "rank", "mu", "gamma", "U2", "K", "L2",
              "rho", "varsigma"}
     if unknown := sorted(set(params) - known):
         raise ValueError(f"unknown bound key(s): {', '.join(map(repr, unknown))}")
+    for key, value in params.items():
+        check_number(key, value, "in (0, 1]" if key == "p" else "positive")
     c = params.get("constant_c", 1.0)
     d_u, big_d = params["d_u"], params["D"]
     p, rank, mu = params["p"], params["rank"], params["mu"]
@@ -419,8 +422,7 @@ def plais_impute(obs: ObservationSet, cfg: SolverConfig | None = None,
             carried = min(cfg.init_rank, width_cap)
         width = min(carried + WARM_SLACK, width_cap)
         input_rank_history.append(carried)
-        padded = _refill(np.hstack([factors.v, tail])[:, :width], width,
-                         np.random.default_rng((8082, t)))
+        padded = _refill(np.hstack([factors.v, tail])[:, :width], width, (8082, t))
         new_factors, _, tail = approx_svt(z, padded, lam_t / big_l, 0.0, max_iters=1)
         eta_next = term.gather(new_factors)
         f_next = _check_finite(value(eta_next) + lam * new_factors.nuclear)

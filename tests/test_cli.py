@@ -533,6 +533,27 @@ def test_config_value_fault_is_a_config_error_naming_its_key(tmp_path, capsys, a
     assert not (tmp_path / "out").exists()
 
 
+BOUND_PARAMS = {"rank": 5, "p": 0.5, "d_u": 300, "D": 300, "mu": 600, "gamma": 1.0,
+                "L2": 1.0, "U2": 1.0}
+
+
+# a bound constant out of range is named, and in an experiment before any fit runs
+@pytest.mark.parametrize("argv, cfg, fault", [
+    (["bounds"], {"params": {**BOUND_PARAMS, "p": 0}}, "p must be in (0, 1], got 0"),
+    (["bounds"], {"params": {**BOUND_PARAMS, "p": math.nan}},
+     "p must be a finite number, got nan"),
+    (["experiment"], {**COLD_CFG, "bound_params": {"rank": 1, "d_u": 20, "D": 16, "gamma": 1.0,
+                                                   "L2": 0, "U2": 1.0}},
+     "L2 must be positive, got 0"),
+], ids=["bounds-p-zero", "bounds-p-nan", "experiment-l2-zero"])
+def test_bound_constant_out_of_range_is_a_config_error(tmp_path, capsys, argv, cfg, fault):
+    code = run([*argv, "--config", write_cfg(tmp_path, "bad.json", cfg),
+                "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert fault in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_integral_p_and_target_v_are_accepted(tmp_path):
     # 1 is a number and an integer, so both values the CLI checks itself pass
     out = generate(tmp_path, "gint", {**GEN_CFG, "p": 1})

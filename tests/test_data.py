@@ -76,6 +76,11 @@ def test_synthetic_config_sizes_must_be_integers():
     assert cfg.d_vs == (12,) and cfg.ranks == (2,) and type(cfg.d_vs[0]) is int
 
 
+def test_synthetic_config_needs_a_source():
+    with pytest.raises(ValueError, match=r"^d_vs must be nonempty, got \(\)$"):
+        SyntheticConfig(0, (), (), ())
+
+
 NAN, INF = math.nan, math.inf
 
 

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import linalg, sparse
+from scipy.linalg import lapack
 
 from heteromc import (
     ThinFactors,
@@ -233,6 +234,31 @@ def test_qr_orthonormalize_matches_the_copying_form_bit_for_bit(rng, make):
     assert q.flags["F_CONTIGUOUS"] == ref.flags["F_CONTIGUOUS"]
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("make", [
+    lambda rng: rng.normal(size=(300, 8)),
+    lambda rng: rng.normal(size=(10, 10)),
+    rank_deficient,
+], ids=["tall", "square", "rank-deficient"])
+def test_qr_orthonormalize_is_scipys_sign_fixed_q_bit_for_bit(rng, make, order):
+    m = np.asarray(make(rng), order=order)
+    q, r = linalg.qr(m, mode="economic")
+    diag = np.diagonal(r)
+    ref = (q * np.where(diag < 0, -1.0, 1.0))[:, np.abs(diag) > 1e-10]
+    out = qr_orthonormalize(m)
+    assert np.array_equal(out, ref)
+    if make is rank_deficient:  # the two dependent columns are dropped
+        assert out.shape == (40, 6)
+
+
+def test_qr_orthonormalize_rejects_wide_input_and_copies_empty_input(rng):
+    with pytest.raises(ValueError, match="at least as many rows as columns"):
+        qr_orthonormalize(rng.normal(size=(3, 5)))
+    empty = np.zeros((4, 0))
+    out = qr_orthonormalize(empty)
+    assert out.shape == (4, 0) and out is not empty
+
+
 def two_product_gap(a, b):
     ra = a - b @ (b.T @ a)
     rb = b - a @ (a.T @ b)
@@ -400,18 +426,18 @@ def test_approx_svt_takes_its_factors_from_the_ritz_pairs(rng, monkeypatch, stru
                                 sparse.csr_matrix((u[:, 10:] * spectrum[10:]) @ v[:, 10:].T))
     calls = {"eigh": 0, "svd": 0, "qr": 0}
 
-    def counted(module, name):
+    def counted(module, name, key):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key] += 1
             return original(*args, **kwargs)
         return wrapper
 
-    # QR is counted through either library, the SVD and eigh through numpy's
-    for module, names in ((np.linalg, calls), (linalg, ("qr",))):
-        for name in names:
-            monkeypatch.setattr(module, name, counted(module, name))
+    # QR is counted at numpy's qr or LAPACK's dgeqrf, the SVD and eigh through numpy's
+    for module, name, key in ((np.linalg, "eigh", "eigh"), (np.linalg, "svd", "svd"),
+                              (np.linalg, "qr", "qr"), (lapack, "dgeqrf", "qr")):
+        monkeypatch.setattr(module, name, counted(module, name, key))
     out, converged, _ = approx_svt(form, rng.normal(size=(n, 15)), lam, delta=1e-10)
     monkeypatch.undo()
     assert converged and out.rank == exact.rank == 11
@@ -424,6 +450,17 @@ def test_approx_svt_takes_its_factors_from_the_ritz_pairs(rng, monkeypatch, stru
     assert calls["svd"] == 0 and calls["eigh"] == calls["qr"] > 1
     if structured:
         assert form.calls[0] == 2 * calls["eigh"]
+
+
+def test_refill_of_a_full_basis_builds_no_generator(monkeypatch, rng):
+    q = rng.normal(size=(12, 4))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a Generator")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    assert _refill(q, 4, (8082, 1)) is q
+    assert _refill(q, 3, (8082, 1)) is q
 
 
 def orthonormal_refill(q, width, rng):

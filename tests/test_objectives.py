@@ -9,6 +9,7 @@ from heteromc import (
     ExpFamilyModel,
     LipschitzLoss,
     ObservationSet,
+    ThinFactors,
     bregman,
     bregman_fit,
     empirical_risk,
@@ -22,7 +23,7 @@ from heteromc import (
     rank1_svd,
     strong_convexity_bounds,
 )
-from heteromc.objectives import DataTerm, solver_loss_terms
+from heteromc.objectives import _TILE_ENTRIES, DataTerm, solver_loss_terms
 
 from conftest import (ALL_FAMILIES, GAUSS, POIS, curved_instance, domain_matrix, make_obs,
                       penalized_objective)
@@ -239,3 +240,24 @@ def test_bregman_fit_sandwich(model, rng):
     delta_sq = float(np.sum((w_hat - params.values)[obs.i, obs.cols] ** 2)) / 80
     assert low / 2 * delta_sq <= got + 1e-12
     assert got <= high / 2 * delta_sq + 1e-12
+
+
+def test_one_tile_gather_reads_the_product_in_observation_order(rng):
+    obs, _ = curved_instance()
+    assert _TILE_ENTRIES // obs.layout.D >= obs.layout.d_u
+    f = ThinFactors(np.linalg.qr(rng.normal(size=(obs.layout.d_u, 3)))[0],
+                    np.array([3.0, 2.0, 0.5]),
+                    np.linalg.qr(rng.normal(size=(obs.layout.D, 3)))[0])
+    eta = DataTerm(obs, [(None, None)] * obs.layout.V).gather(f)
+    assert np.array_equal(eta, f.to_matrix()[obs.i, obs.cols])
+
+
+def test_dense_gradient_matches_the_fancy_assignment_form(rng):
+    obs, _ = curved_instance()
+    w = rng.normal(size=(obs.layout.d_u, obs.layout.D))
+    loss = LipschitzLoss.quantile(0.3)
+    for term in (DataTerm(obs, [solver_loss_terms(loss)] * obs.layout.V),
+                 DataTerm(obs, [(None, lambda y, eta: g_prime(GAUSS, eta) - y)] * obs.layout.V)):
+        ref = np.zeros((obs.layout.d_u, obs.layout.D))
+        ref[obs.i, obs.cols] = term.grad_on_omega(w)
+        assert np.array_equal(term.grad(w), ref)

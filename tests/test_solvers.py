@@ -1,8 +1,10 @@
+import gc
 import math
 import os
 import platform
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from heteromc import (
     lambda_general_loss,
     lambda_heuristic,
     mask_sample,
+    neg_log_likelihood,
     observe_from_model,
     plais_impute,
     rank1_svd,
@@ -32,7 +35,7 @@ from heteromc import (
     tight_lipschitz,
 )
 import heteromc
-from heteromc import solvers
+from heteromc import objectives, solvers
 from heteromc.data import BlockLayout, ObservationSet, estimate_mu
 from heteromc.lowrank import ThinFactors, _refill
 from heteromc.jsonconf import from_json, to_json
@@ -482,6 +485,26 @@ def test_plais_structured_z_builds_omegas_csr_matrix_once(monkeypatch):
     fit = plais_impute(obs, cfg)
     assert fit.z_form == "structured" and len(fit.objective_history) > 2
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("form", ["dense", "structured"])
+def test_a_set_and_its_cached_likelihood_term_form_no_cycle(monkeypatch, form):
+    # with a cycle, a dead set and its term would wait for a full collection
+    obs, cfg = _sparse_fit_setup("likelihood")
+    force_z_form(monkeypatch, form)
+    fit = plais_impute(obs, cfg)
+    assert fit.z_form == form
+    w = fit.factors.to_matrix()
+    neg_log_likelihood(obs, w)
+    grad_neg_log_likelihood(obs, w)
+    assert objectives._likelihood_term(obs) is objectives._likelihood_term(obs)
+    alive = weakref.ref(obs)
+    gc.disable()
+    try:
+        del obs
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 GESDD_FAILURE = """
